@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bench, fileio
-from .errors import RelsynError
+from .errors import DomainError, RelsynError
 from .lti import StateSpace
 from .measurement import validate_c2
 from .solver import (
@@ -242,10 +242,15 @@ def _cmd_solve(args) -> int:
 
 def _parse_n_values(text: str) -> tuple:
     text = text.strip()
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return tuple(range(int(a), int(b) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            a, b = text.split("..", 1)
+            return tuple(range(int(a), int(b) + 1))
+        return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise DomainError(
+            f"ring sizes must be a range a..b or a comma list of integers, got {text!r}"
+        ) from None
 
 
 def _cmd_ring_sweep(args) -> int:

@@ -123,7 +123,10 @@ def read_plant(path: str) -> tuple:
         name = toks[pos]
         if name not in _PLANT_BLOCKS:
             raise DomainError(f"{path}: unexpected block name {name!r}")
-        rows, cols = int(toks[pos + 1]), int(toks[pos + 2])
+        header = toks[pos + 1 : pos + 3]
+        if len(header) != 2 or not all(t.isdigit() for t in header):
+            raise DomainError(f"{path}: block {name!r} needs a 'rows cols' header")
+        rows, cols = int(header[0]), int(header[1])
         body = toks[pos + 3 : pos + 3 + rows * cols]
         if len(body) != rows * cols:
             raise DomainError(f"{path}: truncated block {name!r}")

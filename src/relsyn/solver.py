@@ -1,11 +1,17 @@
-"""Exact least-squares solution of the structured model-matching program.
+"""Least-squares solution of the structured model-matching program.
 
-The objective ||T1 + T2 Q T3|| in the H2 norm is affine in the FIR
-coefficients of the free parameter Q, so after eliminating the compiled
-equality constraints (structural zeros and per-component zero row sums)
-the program is a dense linear least-squares problem over the remaining
-coefficients.  A circulant fast path handles the ring-consensus family by
-reducing the matrix-valued problem to the first column of Q.
+The objective ||T1 + T2 Q T3|| in the H2 norm, truncated at the objective
+horizon, is affine in the FIR coefficients of the free parameter Q.  After
+eliminating the compiled equality constraints (structural zeros and
+per-component zero row sums) it is a linear least-squares problem
+min ||A x - b|| whose every column is one basis response, or the
+difference of two, delayed by a whole number of taps.  One kernel serves
+both solve paths: the basis taps come from a single Markov expansion,
+A'A and A'b are lag correlations of those taps (A is never formed), and
+the small Gram system is solved by QR with column pivoting.  The general
+path takes as basis the pair responses T2 e_i e_j' T3 of every entry of
+Q; the circulant path handles the ring-consensus family by reducing the
+matrix-valued problem to the first column of Q.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from .lti import (
     FirSystem,
     Plant,
     StateSpace,
-    fir_compose,
     fir_lft,
     fir_sub,
     lft,
     markov,
+    series,
 )
 from .measurement import (
     MeasurementStructure,
@@ -50,6 +56,9 @@ DEFAULT_Q_HORIZON = 32
 
 #: Relative tail energy targeted when extending the objective horizon.
 _TAIL_TARGET = 1e-12
+
+#: Most tail taps the objective horizon is extended by automatically.
+_MAX_TAIL = 20000
 
 #: Entries this small may be snapped to exact zeros during cleanup.
 _SNAP_TOL = 1e-9
@@ -126,7 +135,15 @@ def _resolve_objective_horizon(yd: YoulaData, horizon_q: int) -> int:
         return base
     # geometric tail bound: keep taps until rho^(2 k) drops below target
     tail = int(math.ceil(math.log(_TAIL_TARGET) / (2.0 * math.log(rho))))
-    return max(base, horizon_q + 2 * n_stable + min(tail, 20000))
+    needed = horizon_q + 2 * n_stable + tail
+    if tail > _MAX_TAIL:
+        raise DomainError(
+            f"the objective tail decays too slowly (spectral radius {rho:.9f}): "
+            f"a relative tail below {_TAIL_TARGET:g} needs {needed} taps, above "
+            f"the automatic limit of {horizon_q + 2 * n_stable + _MAX_TAIL}; "
+            f"pass an explicit horizon_obj"
+        )
+    return max(base, needed)
 
 
 @dataclass(frozen=True)
@@ -253,7 +270,81 @@ def _assemble_q(
 
 
 # ---------------------------------------------------------------------------
-# general dense path
+# the Gram kernel shared by both paths
+# ---------------------------------------------------------------------------
+
+
+def _gram_solve(H, b, terms, weights, delays) -> LstsqResult:
+    """Minimize ||A x - b|| over columns of delayed basis responses.
+
+    `H` holds the basis taps, shape (T+1, m, E), and `b` the target taps,
+    shape (T+1, m), both flattened over the m output entries.  Column a
+    of A is the sum over s of weights[a, s] times basis response
+    terms[a, s] delayed by delays[a] taps, truncated at tap T.  A is never
+    formed: A'A and A'b are lag sums of the basis taps (see
+    :func:`_normal_equations`), and the Gram system is solved by
+    :func:`least_squares`, which keeps the rank flag and the minimal-norm
+    choice.  The result carries ||A x - b|| as `residual` and
+    ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
+    """
+    G, c = _normal_equations(H, b, terms, weights, delays)
+    sol = least_squares(G, c)
+    x = sol.x
+    resid_sq = float(np.vdot(b, b)) - 2.0 * float(c @ x) + float(x @ (G @ x))
+    return LstsqResult(
+        x=x,
+        residual=math.sqrt(max(resid_sq, 0.0)),
+        gradient_norm=sol.residual,
+        rank=sol.rank,
+        rank_deficient=sol.rank_deficient,
+    )
+
+
+def _normal_equations(H, b, terms, weights, delays):
+    """A'A and A'b of :func:`_gram_solve` from lag sums of the basis taps.
+
+    For columns a, b with delays k_a <= k_b and lag d = k_b - k_a,
+    (A'A)[a, b] sums <H_e[u], H_f[u - d]> over u = d .. T - k_a: the full
+    lag-d correlation of the two responses minus the k_a products past
+    the truncation boundary at tap T.  (A'b)[a] sums <H_e[u], b[u + k_a]>
+    over u = 0 .. T - k_a.
+    """
+    T = H.shape[0] - 1
+    n_basis = H.shape[2]
+    K = int(delays.max()) if delays.size else 0
+    lag = np.empty((K + 1, n_basis, n_basis))
+    cross = np.empty((K + 1, n_basis))
+    # past[d, k] sums the products of taps T - r and T - r - d over r < k
+    past = np.zeros((K + 1, K + 1, n_basis, n_basis))
+    r = np.arange(K)
+    late = H[T - r].transpose(0, 2, 1)
+    for d in range(K + 1):
+        lag[d] = np.tensordot(H[d:], H[: T + 1 - d], axes=([0, 1], [0, 1]))
+        cross[d] = np.tensordot(H[: T + 1 - d], b[d:], axes=([0, 1], [0, 1]))
+        src = T - r - d  # negative only for (d, k) pairs no column uses
+        early = H[np.maximum(src, 0)] * (src >= 0)[:, None, None]
+        np.cumsum(late @ early, axis=0, out=past[d, 1:])
+    window = lag[:, None] - past
+
+    ka, kb = delays[:, None], delays[None, :]
+    lags = np.abs(ka - kb)
+    first = np.minimum(ka, kb)
+    a_first = ka <= kb
+    G = np.zeros((delays.size, delays.size))
+    c = np.zeros(delays.size)
+    for s in range(terms.shape[1]):
+        ea = terms[:, s]
+        c += weights[:, s] * cross[delays, ea]
+        for t in range(terms.shape[1]):
+            eb = terms[:, t]
+            e1 = np.where(a_first, ea[:, None], eb[None, :])
+            e2 = np.where(a_first, eb[None, :], ea[:, None])
+            G += np.outer(weights[:, s], weights[:, t]) * window[lags, first, e1, e2]
+    return G, c
+
+
+# ---------------------------------------------------------------------------
+# general path
 # ---------------------------------------------------------------------------
 
 
@@ -261,49 +352,52 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     """Minimize the H2 norm of T1 + T2 Q T3 over structured FIR Q.
 
     Each Markov parameter of the matched map is an affine function of the
-    free coefficients that remain after constraint elimination; the sum of
-    squared entries over the objective horizon is minimized by dense QR
-    least squares, and the output-feedback controller is recovered from
+    free coefficients that remain after constraint elimination.  A free
+    coefficient at tap k of entry (i, j), paired with the dependent entry
+    (i, dep) of its zero-sum group, moves the objective along the pair
+    response of (i, j) minus that of (i, dep), delayed by k taps; the sum
+    of squared entries over the objective horizon is minimized through
+    the Gram kernel, and the output-feedback controller is recovered from
     the optimal state-feedback map.
     """
     yd = prob.yd
     T_Q, T_J = prob.horizon_q, prob.horizon_obj
-    nz = yd.plant.n_perf
-    nw = yd.plant.n_dist
     l = yd.plant.n_ctrl
     n = yd.plant.n_states
-    F1 = markov(yd.t1_stable, T_J).taps
-    F2 = markov(yd.t2_stable, T_J).taps
-    F3 = markov(yd.t3_projected, T_J).taps
 
     basis = _reduce_constraints(prob.structure, prob.ms.indicators, T_Q)
-    pairs = sorted(
-        {(i, j) for (_, i, j), dep in basis.free} | {(i, dep) for (_, i, _), dep in basis.free}
+    terms = np.array(
+        [[j * l + i, dep * l + i] for (_, i, j), dep in basis.free], dtype=int
+    ).reshape(-1, 2)
+    weights = np.tile([1.0, -1.0], (len(basis.free), 1))
+    delays = np.array([k for (k, _, _), _ in basis.free], dtype=int)
+    target = markov(yd.t1_stable, T_J).taps.transpose(0, 2, 1)
+    lsres = _gram_solve(
+        _pair_responses(yd, T_J),
+        -target.reshape(T_J + 1, -1),
+        terms,
+        weights,
+        delays,
     )
-    pair_conv = {ij: _pair_convolution(F2, F3, *ij) for ij in pairs}
-
-    n_rows = (T_J + 1) * nz * nw
-    A = np.zeros((n_rows, len(basis.free)))
-    block = nz * nw
-    for f, ((k, i, j), dep_j) in enumerate(basis.free):
-        direction = pair_conv[(i, j)] - pair_conv[(i, dep_j)]
-        A[k * block :, f] = direction[: T_J + 1 - k].reshape(-1)
-    lsres = least_squares(A, -F1.reshape(-1))
 
     q_opt = _assemble_q(basis, lsres.x, T_Q, l, n)
     return _finalize(prob, q_opt, lsres, objective=lsres.residual)
 
 
-def _pair_convolution(F2: np.ndarray, F3: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Taps of T2 e_i (e_j' T3), the objective response to a unit
-    coefficient at entry (i, j) of a tap of Q."""
-    T = F2.shape[0] - 1
-    col = F2[:, :, i]
-    row = F3[:, j, :]
-    out = np.zeros((T + 1, col.shape[1], row.shape[1]))
-    for a in range(T + 1):
-        out[a:] += col[a][None, :, None] * row[: T + 1 - a][:, None, :]
-    return out
+def _pair_responses(yd: YoulaData, horizon: int) -> np.ndarray:
+    """Taps of T2 e_i e_j' T3 for every entry (i, j) of Q, in one array.
+
+    vec(T2 Q T3) = (T3' (x) T2) vec(Q), realized as the series connection
+    (T3' (x) I) (I (x) T2), so one Markov expansion gives every pair
+    response: entry [t, w * nz + z, j * l + i] is tap t of entry (z, w)
+    of T2 e_i e_j' T3.
+    """
+    t2, t3 = yd.t2_stable, yd.t3_projected
+    eye_z = np.eye(t2.n_outputs)
+    eye_n = np.eye(t3.n_outputs)
+    left = StateSpace(*(np.kron(M.T, eye_z) for M in (t3.A, t3.C, t3.B, t3.D)))
+    right = StateSpace(*(np.kron(eye_n, M) for M in (t2.A, t2.B, t2.C, t2.D)))
+    return markov(series(left, right), horizon).taps
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +509,16 @@ class CirculantReduction:
     """Single-column form of a circulant synthesis problem.
 
     The objective satisfies ||T1 + T2 Q T3||^2 = scale * ||target +
-    basis . q||^2 where `target` is the first column of T1, `basis[j]`
-    is the response column T2 T3 (M e_j), and q stacks the free scalar
-    FIR parameters with per-parameter horizons `param_horizons`.
+    basis q||^2 where `target` is the first column of T1, input j of
+    `basis` is the response column T2 T3 (M e_j), and q stacks the free
+    scalar FIR parameters with per-parameter horizons `param_horizons`.
+    Both are truncated at the objective horizon.
     """
 
     n: int
     scale: float
     target: FirSystem
-    basis: tuple
+    basis: FirSystem
     lift: FirSystem
     param_horizons: tuple
 
@@ -455,23 +550,16 @@ def circulant_reduce(prob: SynthesisProblem) -> CirculantReduction:
 
     T_Q, T_J = prob.horizon_q, prob.horizon_obj
     lift = eliminate_q0(n)
-    F2 = markov(yd.t2_stable, T_J)
-    F3 = markov(yd.t3_projected, T_J)
-    target = FirSystem(markov(yd.t1_stable, T_J).taps[:, :, :1])
-    basis = []
-    horizons = []
-    for j in range(1, n):
-        col = FirSystem(lift.taps[:, :, j - 1 : j])
-        w = fir_compose(F3, col, horizon=T_J)
-        basis.append(fir_compose(F2, w, horizon=T_J))
-        horizons.append(T_Q - min(j, n - j))
+    first = StateSpace.static_gain(np.eye(plant.n_dist)[:, :1])
     return CirculantReduction(
         n=n,
         scale=float(n),
-        target=target,
-        basis=tuple(basis),
+        target=markov(series(yd.t1_stable, first), T_J),
+        basis=markov(
+            series(yd.t2_stable, series(yd.t3_projected, lift.to_statespace())), T_J
+        ),
         lift=lift,
-        param_horizons=tuple(horizons),
+        param_horizons=tuple(T_Q - min(j, n - j) for j in range(1, n)),
     )
 
 
@@ -485,25 +573,19 @@ def solve_ring_circulant(
 
     Builds the ring problem, reduces the objective to the first column of
     the circulant parameter, solves the unconstrained least squares over
-    the n-1 scalar FIR parameters, and expands the optimal column back to
-    the full parameter before recovering the output-feedback controller.
+    the n-1 scalar FIR parameters through the Gram kernel (column (j, b)
+    is basis response j delayed by b taps), and expands the optimal
+    column back to the full parameter before recovering the
+    output-feedback controller.
     """
     prob = build_ring_problem(n, gamma, horizon_q, horizon_obj)
     red = circulant_reduce(prob)
-    T_J = prob.horizon_obj
-    nz = prob.yd.plant.n_perf
-
-    cols = []
-    index = []
-    for j, (col_sys, hj) in enumerate(zip(red.basis, red.param_horizons)):
-        flat = col_sys.taps.reshape(T_J + 1, nz)
-        for b in range(hj + 1):
-            shifted = np.zeros((T_J + 1, nz))
-            shifted[b:] = flat[: T_J + 1 - b]
-            cols.append(shifted.reshape(-1))
-            index.append((j, b))
-    A = np.column_stack(cols) if cols else np.zeros(((T_J + 1) * nz, 0))
-    lsres = least_squares(A, -red.target.taps.reshape(-1))
+    index = [(j, b) for j, hj in enumerate(red.param_horizons) for b in range(hj + 1)]
+    terms = np.array([j for j, _ in index], dtype=int).reshape(-1, 1)
+    delays = np.array([b for _, b in index], dtype=int)
+    lsres = _gram_solve(
+        red.basis.taps, -red.target.taps[:, :, 0], terms, np.ones(terms.shape), delays
+    )
 
     params = [np.zeros(h + 1) for h in red.param_horizons]
     for (j, b), val in zip(index, lsres.x):
@@ -579,26 +661,30 @@ def _clean_r_fir(
     r_fir: FirSystem, bound: InfoStructure, ms: MeasurementStructure
 ) -> FirSystem:
     """Snap sub-tolerance entries to the structural zeros and project the
-    per-component row sums to exact zeros, so that recovery is exact."""
+    per-component row sums to exact zeros, so that recovery is exact.
+
+    For every tap, row and component, the sum is spread evenly over the
+    entries that are allowed or still nonzero, and a second pass moves
+    the roundoff of the first onto the first such entry.
+    """
     taps = np.array(r_fir.taps)
     ks = np.arange(taps.shape[0])[:, None, None]
     snap = (ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)
     taps[snap] = 0.0
-    for k in range(taps.shape[0]):
-        for i in range(taps.shape[1]):
-            for comp in ms.components:
-                allowed = [
-                    j
-                    for j in comp
-                    if k >= bound.min_delay[i, j] or taps[k, i, j] != 0.0
-                ]
-                if not allowed:
-                    continue  # every entry snapped, the sum is exactly zero
-                s = taps[k, i, list(comp)].sum()
-                taps[k, i, allowed] -= s / len(allowed)
-                # one correction pass kills the roundoff of the first
-                s = taps[k, i, list(comp)].sum()
-                taps[k, i, allowed[0]] -= s
+    for comp in ms.components:
+        cols = list(comp)
+        block = taps[:, :, cols]
+        allowed = (ks >= bound.min_delay[None, :, cols]) | (block != 0.0)
+        # a row with no allowed entry was snapped whole: its sum is zero,
+        # and both passes leave it as it is
+        count = np.maximum(allowed.sum(axis=2, keepdims=True), 1)
+        block -= np.where(allowed, block.sum(axis=2, keepdims=True) / count, 0.0)
+        lead = np.argmax(allowed, axis=2)[:, :, None]
+        residue = block.sum(axis=2, keepdims=True)
+        np.put_along_axis(
+            block, lead, np.take_along_axis(block, lead, axis=2) - residue, axis=2
+        )
+        taps[:, :, cols] = block
     return FirSystem(taps)
 
 

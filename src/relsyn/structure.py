@@ -159,20 +159,35 @@ def is_qi(s: InfoStructure, g: InfoStructure) -> bool:
 
 def qi_certificate(s: InfoStructure, g: InfoStructure):
     """None when quadratically invariant, else the lexically first
-    violating index quadruple (i, j, k, m)."""
+    violating index quadruple (i, j, k, m).
+
+    The verdict comes from two min-plus products, (s g) over j and then
+    (s g s) over k, which need only l x l and l x p arrays; the witness
+    is searched in the first violating row i alone, on a (p, l, p) slice.
+    """
     if s.cols != g.rows or g.cols != s.rows:
         raise DimensionError(
             f"need s: {s.rows}x{s.cols} against g: {s.cols}x{s.rows}, "
             f"got g: {g.rows}x{g.cols}"
         )
     ds, dg = s.min_delay, g.min_delay
-    # composite[i, j, k, m] = ds(i,j) + dg(j,k) + ds(k,m)
-    composite = ds[:, :, None, None] + dg[None, :, :, None] + ds[None, None, :, :]
-    violation = composite < ds[:, None, None, :]
-    if not violation.any():
+    sgs = _min_plus(_min_plus(ds, dg), ds)
+    rows = np.flatnonzero((sgs < ds).any(axis=1))
+    if rows.size == 0:
         return None
-    i, j, k, m = np.unravel_index(int(np.argmax(violation)), violation.shape)
-    return int(i), int(j), int(k), int(m)
+    i = int(rows[0])
+    # composite[j, k, m] = ds(i,j) + dg(j,k) + ds(k,m)
+    composite = ds[i][:, None, None] + dg[:, :, None] + ds[None, :, :]
+    j, k, m = np.unravel_index(int(np.argmax(composite < ds[i])), composite.shape)
+    return i, int(j), int(k), int(m)
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus product: out[i, k] = min over j of a[i, j] + b[j, k]."""
+    out = np.full((a.shape[0], b.shape[1]), INF)
+    for j in range(a.shape[1]):
+        np.minimum(out, a[:, j, None] + b[None, j, :], out=out)
+    return out
 
 
 @dataclass(frozen=True)

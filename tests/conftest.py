@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from relsyn import FirSystem, Plant, StateSpace, validate_c2
+from relsyn import (
+    FirSystem,
+    Plant,
+    StateSpace,
+    SynthesisProblem,
+    build_tilde_plant,
+    delay_structure_from_adjacency,
+    laplacian_rnom,
+    make_t_systems,
+    validate_c2,
+)
 
 
 def rand_schur(rng, n, m, p, rho=0.6, d_scale=1.0):
@@ -70,6 +80,34 @@ def rand_relative_fir_exact(rng, ms, l, horizon, span=8):
         cols = list(comp)
         ints[:, :, cols[-1]] = -ints[:, :, cols[:-1]].sum(axis=2)
     return FirSystem(ints / span)
+
+
+def consensus_problem(C2, gamma, horizon_q, horizon_obj=None):
+    """x+ = x + u + w, z = [(1-gamma) deviation; gamma u], y = C2 x, with the
+    Laplacian nominal and hop-distance delays of the sensing graph."""
+    n = C2.shape[1]
+    adj = np.zeros((n, n))
+    for row in C2:
+        i, j = np.flatnonzero(row)
+        adj[i, j] = adj[j, i] = 1.0
+    eye, zero = np.eye(n), np.zeros((n, n))
+    plant = Plant(
+        A=eye,
+        B1=eye,
+        B2=eye,
+        C1=np.vstack([(1.0 - gamma) * (eye - np.ones((n, n)) / n), zero]),
+        D12=np.vstack([zero, gamma * eye]),
+        C2=C2,
+    )
+    ms = validate_c2(C2)
+    yd = make_t_systems(build_tilde_plant(plant), laplacian_rnom(adj), ms)
+    return SynthesisProblem(
+        yd=yd,
+        structure=delay_structure_from_adjacency(adj),
+        ms=ms,
+        horizon_q=horizon_q,
+        horizon_obj=horizon_obj,
+    )
 
 
 def upper_triangular_plant(n=4, diag=0.5, upper=0.1):

@@ -146,3 +146,22 @@ def test_error_reporting(tmp_path, capsys):
     bad.write_text("1 3\n2.0 -2.0 0.0\n")
     assert main(["graph", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_ring_range_is_a_typed_error(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["ring-sweep", "--n", "3..x", "--out", str(out_csv), "--no-plot"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "3..x" in err
+    assert not out_csv.exists()
+
+
+def test_truncated_plant_file_is_a_typed_error(tmp_path, capsys):
+    plant_path = tmp_path / "short.plant"
+    plant_path.write_text("A 2\n")
+    s_path = tmp_path / "s.struct"
+    fileio.write_structure(s_path, InfoStructure.unrestricted(2, 2))
+    assert main(["qi", str(s_path), str(plant_path)]) == 1
+    assert "error:" in capsys.readouterr().err

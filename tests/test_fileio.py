@@ -68,6 +68,13 @@ class TestPlantFormat:
         with pytest.raises(DomainError):
             fileio.read_plant(path)
 
+    @pytest.mark.parametrize("text", ["A 2\n", "A\n", "A 2 x\n1 2\n"])
+    def test_truncated_header_rejected(self, tmp_path, text):
+        path = tmp_path / "p.plant"
+        path.write_text(text)
+        with pytest.raises(DomainError, match="'rows cols' header"):
+            fileio.read_plant(path)
+
     def test_c2_override(self, tmp_path):
         plant = ring_plant(3, 0.4)
         path = tmp_path / "p.plant"

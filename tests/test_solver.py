@@ -312,3 +312,88 @@ class TestInvariants:
             assert res.objective == pytest.approx(
                 h2_norm_lyap(matched), abs=1e-8
             )
+
+
+class TestObjectiveHorizon:
+    def test_slow_tail_raises_instead_of_truncating(self):
+        # n = 45 needs 32055 taps for a 1e-12 tail; the automatic limit is
+        # 20000 tail taps, so the horizon must be given explicitly
+        with pytest.raises(DomainError, match=r"needs 32055 taps.*horizon_obj"):
+            build_ring_problem(45, 0.5, 32)
+
+    def test_explicit_horizon_bypasses_the_limit(self):
+        prob = build_ring_problem(45, 0.5, 32, horizon_obj=500)
+        assert prob.horizon_obj == 500
+
+
+def _clean_r_fir_loops(r_fir, bound, ms, snap_tol=1e-9):
+    """Tap-by-tap, row-by-row form of the FIR cleanup, as a reference."""
+    taps = np.array(r_fir.taps)
+    ks = np.arange(taps.shape[0])[:, None, None]
+    snap = (ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= snap_tol)
+    taps[snap] = 0.0
+    for k in range(taps.shape[0]):
+        for i in range(taps.shape[1]):
+            for comp in ms.components:
+                allowed = [
+                    j for j in comp if k >= bound.min_delay[i, j] or taps[k, i, j] != 0.0
+                ]
+                if not allowed:
+                    continue
+                s = taps[k, i, list(comp)].sum()
+                taps[k, i, allowed] -= s / len(allowed)
+                s = taps[k, i, list(comp)].sum()
+                taps[k, i, allowed[0]] -= s
+    return FirSystem(taps)
+
+
+class TestCleanup:
+    @staticmethod
+    def _controllers(prob, res):
+        from relsyn.measurement import recover_controller
+        from relsyn.solver import (
+            _clean_r_fir,
+            _controller_horizon,
+            combined_r_structure,
+            recovered_r_fir,
+        )
+
+        r_fir = recovered_r_fir(prob.yd, res.q_opt, _controller_horizon(prob))
+        bound = combined_r_structure(prob.structure, prob.yd)
+        fast = recover_controller(_clean_r_fir(r_fir, bound, prob.ms), prob.ms)
+        loops = recover_controller(_clean_r_fir_loops(r_fir, bound, prob.ms), prob.ms)
+        assert np.array_equal(fast.taps, res.k_opt.taps)
+        return fast.taps, loops.taps
+
+    def test_vectorized_matches_loops_on_random_taps(self, rng):
+        # forbidden entries below the snap tolerance, forbidden entries
+        # above it, rows with no allowed entry, and O(1) row sums
+        from relsyn.solver import _clean_r_fir
+
+        # components {0, 1}, {2} and {3, 4, 5}
+        C2 = np.array([[1.0, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 1, -1]])
+        ms = validate_c2(C2)
+        for _ in range(20):
+            delay = rng.choice([0.0, 1.0, 3.0, np.inf], size=(4, 6))
+            taps = rng.normal(size=(5, 4, 6))
+            tiny = rng.random(size=taps.shape) < 0.3
+            taps[tiny] *= 1e-11
+            bound = InfoStructure(delay)
+            fast = _clean_r_fir(FirSystem(taps), bound, ms).taps
+            loops = _clean_r_fir_loops(FirSystem(taps), bound, ms).taps
+            assert np.array_equal(fast == 0.0, loops == 0.0)
+            assert np.abs(fast - loops).max() <= 1e-12
+
+    def test_vectorized_matches_loops_on_ring_grid(self):
+        for n in range(3, 13):
+            for gamma in (0.2, 0.4, 0.5):
+                prob = build_ring_problem(n, gamma, 32)
+                fast, loops = self._controllers(prob, solve_ring_circulant(n, gamma, 32))
+                assert np.abs(fast - loops).max() <= 1e-12 * max(np.abs(loops).max(), 1.0)
+
+    def test_vectorized_matches_loops_on_general_graph(self, rng):
+        from conftest import consensus_problem, rand_connected_c2
+
+        prob = consensus_problem(rand_connected_c2(rng, 6, extra_edges=2), 0.4, 8)
+        fast, loops = self._controllers(prob, solve(prob))
+        assert np.abs(fast - loops).max() <= 1e-12 * max(np.abs(loops).max(), 1.0)

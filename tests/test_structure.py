@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsyn import (
     DomainError,
@@ -109,6 +111,25 @@ class TestQuadraticInvariance:
         ds = S.min_delay
         dg = g.min_delay
         assert ds[i, j] + dg[j, k] + ds[k, m] < ds[i, m]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_certificate_matches_brute_force(self, data):
+        # the lexically first violating quadruple of the full 4-d
+        # evaluation, on random small structures with inf entries
+        delay = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
+        l = data.draw(st.integers(1, 4))
+        p = data.draw(st.integers(1, 4))
+        ds = np.array(data.draw(st.lists(delay, min_size=l * p, max_size=l * p)))
+        dg = np.array(data.draw(st.lists(delay, min_size=l * p, max_size=l * p)))
+        ds, dg = ds.reshape(l, p), dg.reshape(p, l)
+        composite = ds[:, :, None, None] + dg[None, :, :, None] + ds[None, None, :, :]
+        violation = composite < ds[:, None, None, :]
+        expected = None
+        if violation.any():
+            flat = int(np.argmax(violation))
+            expected = tuple(int(v) for v in np.unravel_index(flat, violation.shape))
+        assert qi_certificate(InfoStructure(ds), InfoStructure(dg)) == expected
 
     def test_triangular_structure_qi_for_state_map(self):
         plant = triangular_plant(4)
