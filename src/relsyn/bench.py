@@ -21,6 +21,7 @@ from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
     SynthesisResult,
+    _clean_r_fir,
     combined_r_structure,
     recovered_r_fir,
     recovered_structure,
@@ -34,6 +35,13 @@ CSV_HEADER = "n,gamma,J,J_per_node,solve_ms,residual"
 
 #: Trajectory norms above this are treated as divergence.
 OVERFLOW_GUARD = 1e9
+
+#: Steps per chunk of noise draws and output products in the simulation.
+_CHUNK_STEPS = 4096
+
+#: Entries of the simulation's lift [P Gamma] (32 MB) above which blocks
+#: get shorter than the controller's T + 1 taps.
+_LIFT_DOUBLES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +149,7 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
     res = solve(prob)
 
     r_fir = recovered_r_fir(yd, res.q_opt, horizon_q + 2 * n)
-    r_clean = _snap_structure(r_fir, uptri)
+    r_clean = _clean_r_fir(r_fir, uptri, ms)
     K = star_recover_upper_triangular(r_clean, n)
     in_structure = membership(K, S)
     kc2 = fir_compose(K, FirSystem(ms.c2[np.newaxis]))
@@ -174,22 +182,6 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
         controller_matches_r=match,
         text="\n".join(lines),
     )
-
-
-def _snap_structure(f: FirSystem, s: InfoStructure, tol: float = 1e-9) -> FirSystem:
-    """Zero the sub-tolerance entries the structure forbids, then project
-    each row back to a zero sum over the allowed entries."""
-    taps = np.array(f.taps)
-    for k in range(taps.shape[0]):
-        for i in range(taps.shape[1]):
-            allowed = np.flatnonzero(k >= s.min_delay[i])
-            for j in range(taps.shape[2]):
-                if k < s.min_delay[i, j] and abs(taps[k, i, j]) <= tol:
-                    taps[k, i, j] = 0.0
-            if allowed.size:
-                taps[k, i, allowed] -= taps[k, i].sum() / allowed.size
-                taps[k, i, allowed[0]] -= taps[k, i].sum()
-    return FirSystem(taps)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +285,18 @@ def simulate_closed_loop(
     `disturbance_scale`; zero turns the disturbance off).
 
     The controller's tap 0 acts on the current measurement (y has no
-    feedthrough, so the loop is well posed).
+    feedthrough, so the loop is well posed).  With M_0 = A + B2 K_0 C2 and
+    M_k = B2 K_k C2, the loop is x[t+1] = sum_k M_k x[t-k] + B1 w[t], so
+    the window s of the last L = T + 1 states gives the next B states at
+    once, P s + Gamma w_block (see `_lift`).  B is L, or less where P and
+    Gamma would pass `_LIFT_DOUBLES` entries.  This is the same recursion
+    with its sums regrouped: P costs L n^2 flops per step, as the T + 1
+    products of the plain recursion do, but the Python loop runs once
+    per B steps.  The noise comes from one generator in time order, so
+    chunked draws give the same stream as per-step ones.  Noise, outputs
+    and the overflow guard go in chunks of about `_CHUNK_STEPS` steps;
+    the run stops at the first state above `OVERFLOW_GUARD` or not
+    finite, and stores that state.
     """
     if steps < 1:
         raise DomainError("steps must be positive")
@@ -305,31 +308,79 @@ def simulate_closed_loop(
         raise DomainError("measurement structure does not match the plant's C2")
     rng = np.random.default_rng(seed)
     n, q = plant.n_states, plant.n_dist
-    T = K.horizon
-    x = np.zeros((steps + 1, n))
+    L = K.horizon + 1
+    B = max(1, min(L, _LIFT_DOUBLES // (L * n * (n + q))))
+    F = K.taps @ plant.C2  # F[k] = K_k C2, so u[t] = sum_k F[k] x[t-k]
+    P, gamma = _lift(plant, F, B)
+    B = P.shape[0] // n
+    blocks = -(-steps // B)
+    # X[L - 1 + t] = x[t], after L - 1 rows of zero history; block j maps
+    # the window x[jB - T .. jB] (flat[jBn : (jB + L)n]) to new[j], the
+    # states x[jB + 1 .. jB + B]
+    X = np.zeros((L + blocks * B, n))
+    flat = X.reshape(-1)
+    new = X[L:].reshape(blocks, B * n)
     u = np.zeros((steps, plant.n_ctrl))
     z = np.zeros((steps, plant.n_perf))
-    y_hist = np.zeros((T + 1, plant.n_meas))  # y_hist[k] = y[t-k]
+    per_chunk = max(1, _CHUNK_STEPS // B)
     diverged = False
     t_done = 0
-    for t in range(steps):
-        y_hist[1:] = y_hist[:-1]
-        y_hist[0] = plant.C2 @ x[t]
-        u[t] = np.einsum("kij,kj->i", K.taps, y_hist)
-        z[t] = plant.C1 @ x[t] + plant.D12 @ u[t]
-        w = disturbance_scale * rng.standard_normal(q)
-        x[t + 1] = plant.A @ x[t] + plant.B1 @ w + plant.B2 @ u[t]
-        t_done = t + 1
-        if np.abs(x[t + 1]).max() > OVERFLOW_GUARD:
-            diverged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, blocks, per_chunk):
+            j1 = min(j0 + per_chunk, blocks)
+            t0, t1 = j0 * B, min(j1 * B, steps)
+            w = np.zeros(((j1 - j0) * B, q))
+            w[: t1 - t0] = disturbance_scale * rng.standard_normal((t1 - t0, q))
+            np.matmul(w.reshape(j1 - j0, B * q), gamma.T, out=new[j0:j1])
+            for j in range(j0, j1):
+                new[j] += P @ flat[j * B * n : (j * B + L) * n]
+            ok = np.abs(X[L + t0 : L + t1]).max(axis=1) <= OVERFLOW_GUARD
+            if not ok.all():
+                diverged = True
+                t1 = t0 + int(np.argmin(ok)) + 1
+            uc = u[t0:t1]
+            for k in range(L):
+                uc += X[L - 1 + t0 - k : L - 1 + t1 - k] @ F[k].T
+            np.matmul(X[L - 1 + t0 : L - 1 + t1], plant.C1.T, out=z[t0:t1])
+            z[t0:t1] += uc @ plant.D12.T
+            t_done = t1
+            if diverged:
+                break
     return TrajectoryRecord(
-        x=x[: t_done + 1],
+        x=X[L - 1 : L + t_done],
         u=u[:t_done],
         z=z[:t_done],
         diverged=diverged,
         steps_completed=t_done,
     )
+
+
+def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:
+    """P (Bn x Ln) and Gamma (Bn x Bq) of the lifted loop: the states
+    x[t+1 .. t+B] in terms of the window x[t-T .. t] and the noise
+    w[t .. t+B-1], all oldest first, for B <= L.  Found by running the
+    recursion B steps on the identity.  The block ends before the first
+    step whose rows overflow: past it a zero state times an infinite
+    entry would read as divergence."""
+    L, n, q = F.shape[0], plant.n_states, plant.n_dist
+    M = plant.B2 @ F
+    M[0] += plant.A
+    # [M_T ... M_0]: multiplies L consecutive states, oldest first
+    m_row = M[::-1].transpose(1, 0, 2).reshape(n, L * n)
+    ln, cols = L * n, L * n + B * q
+    out = np.zeros((B, n, cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(B):
+            # x[t+1+i] reads window states i..T (identity columns) and the
+            # i states computed before it
+            out[i, :, i * n : ln] = m_row[:, : ln - i * n]
+            out[i] += m_row[:, ln - i * n :] @ out[:i].reshape(i * n, cols)
+            out[i, :, ln + i * q : ln + (i + 1) * q] += plant.B1
+            if i and not np.isfinite(out[i]).all():
+                B = i
+                break
+    out = out[:B].reshape(B * n, cols)
+    return out[:, :ln], out[:, ln : ln + B * q]
 
 
 # ---------------------------------------------------------------------------

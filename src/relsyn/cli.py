@@ -293,7 +293,7 @@ def _cmd_simulate(args) -> int:
         plant = ring_plant(int(bundle["ring"]), gamma)
     else:
         res = solve(prob)
-        plant = _plant_of(prob, bundle, args)
+        plant = _plant_of(bundle)
     rec = bench.simulate_closed_loop(
         plant, res.k_opt, prob.ms, steps=args.steps, seed=args.seed
     )
@@ -308,7 +308,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _plant_of(prob: SynthesisProblem, bundle: dict, args):
+def _plant_of(bundle: dict):
     return _load_plant(
         fileio.bundle_path(bundle, "plant"),
         c2=fileio.read_matrix(fileio.bundle_path(bundle, "c2")) if "c2" in bundle else None,

@@ -35,6 +35,23 @@ def _tokens(path: str) -> list:
     return toks
 
 
+def _number(path: str, tok: str, kind=float):
+    """`kind(tok)`, or a DomainError naming the file and the token."""
+    try:
+        return kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"{path}: expected {what}, found {tok!r}") from None
+
+
+def _sizes(path: str, toks) -> list:
+    """Header sizes: nonnegative integers."""
+    sizes = [_number(path, t, int) for t in toks]
+    if any(v < 0 for v in sizes):
+        raise DomainError(f"{path}: negative size in header {' '.join(toks)!r}")
+    return sizes
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -43,13 +60,13 @@ def read_matrix(path: str) -> np.ndarray:
     toks = _tokens(path)
     if len(toks) < 2:
         raise DomainError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(toks[0]), int(toks[1])
+    rows, cols = _sizes(path, toks[:2])
     body = toks[2:]
     if len(body) != rows * cols:
         raise DomainError(
             f"{path}: expected {rows * cols} entries, found {len(body)}"
         )
-    return np.array([float(t) for t in body]).reshape(rows, cols)
+    return np.array([_number(path, t) for t in body]).reshape(rows, cols)
 
 
 def write_matrix(path: str, M) -> None:
@@ -64,13 +81,13 @@ def read_fir(path: str) -> FirSystem:
     toks = _tokens(path)
     if len(toks) < 3:
         raise DomainError(f"{path}: missing 'p m T' header")
-    p, m, T = int(toks[0]), int(toks[1]), int(toks[2])
+    p, m, T = _sizes(path, toks[:3])
     body = toks[3:]
     if len(body) != (T + 1) * p * m:
         raise DomainError(
             f"{path}: expected {(T + 1) * p * m} entries, found {len(body)}"
         )
-    taps = np.array([float(t) for t in body]).reshape(T + 1, p, m)
+    taps = np.array([_number(path, t) for t in body]).reshape(T + 1, p, m)
     return FirSystem(taps)
 
 
@@ -87,13 +104,15 @@ def read_structure(path: str) -> InfoStructure:
     toks = _tokens(path)
     if len(toks) < 2:
         raise DomainError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(toks[0]), int(toks[1])
+    rows, cols = _sizes(path, toks[:2])
     body = toks[2:]
     if len(body) != rows * cols:
         raise DomainError(
             f"{path}: expected {rows * cols} entries, found {len(body)}"
         )
-    vals = [np.inf if t.lower() == "inf" else float(int(t)) for t in body]
+    vals = [
+        np.inf if t.lower() == "inf" else float(_number(path, t, int)) for t in body
+    ]
     return InfoStructure(np.array(vals).reshape(rows, cols))
 
 
@@ -126,11 +145,11 @@ def read_plant(path: str) -> tuple:
         header = toks[pos + 1 : pos + 3]
         if len(header) != 2 or not all(t.isdigit() for t in header):
             raise DomainError(f"{path}: block {name!r} needs a 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _sizes(path, header)
         body = toks[pos + 3 : pos + 3 + rows * cols]
         if len(body) != rows * cols:
             raise DomainError(f"{path}: truncated block {name!r}")
-        blocks[name] = np.array([float(t) for t in body]).reshape(rows, cols)
+        blocks[name] = np.array([_number(path, t) for t in body]).reshape(rows, cols)
         pos += 3 + rows * cols
     missing = [b for b in ("A", "B1", "B2", "C1", "D12") if b not in blocks]
     if missing:

@@ -20,11 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # QR-with-column-pivoting driver; numpy's SVD path is the fallback
-    from scipy.linalg import lstsq as _scipy_lstsq
-except ImportError:  # pragma: no cover
-    _scipy_lstsq = None
+import scipy.linalg
 
 from .errors import DimensionError, DomainError, StructureViolationError
 from .lti import (
@@ -195,10 +191,7 @@ def least_squares(A, b) -> LstsqResult:
             rank=0,
             rank_deficient=False,
         )
-    if _scipy_lstsq is not None:
-        x, _, rank, _ = _scipy_lstsq(A, b, lapack_driver="gelsy")
-    else:  # pragma: no cover
-        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    x, _, rank, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
     resid_vec = A @ x - b
     return LstsqResult(
         x=x,

@@ -82,16 +82,11 @@ def rand_relative_fir_exact(rng, ms, l, horizon, span=8):
     return FirSystem(ints / span)
 
 
-def consensus_problem(C2, gamma, horizon_q, horizon_obj=None):
-    """x+ = x + u + w, z = [(1-gamma) deviation; gamma u], y = C2 x, with the
-    Laplacian nominal and hop-distance delays of the sensing graph."""
+def consensus_plant(C2, gamma):
+    """x+ = x + u + w, z = [(1-gamma) deviation; gamma u], y = C2 x."""
     n = C2.shape[1]
-    adj = np.zeros((n, n))
-    for row in C2:
-        i, j = np.flatnonzero(row)
-        adj[i, j] = adj[j, i] = 1.0
     eye, zero = np.eye(n), np.zeros((n, n))
-    plant = Plant(
+    return Plant(
         A=eye,
         B1=eye,
         B2=eye,
@@ -99,6 +94,17 @@ def consensus_problem(C2, gamma, horizon_q, horizon_obj=None):
         D12=np.vstack([zero, gamma * eye]),
         C2=C2,
     )
+
+
+def consensus_problem(C2, gamma, horizon_q, horizon_obj=None):
+    """The consensus plant with the Laplacian nominal and hop-distance
+    delays of the sensing graph."""
+    n = C2.shape[1]
+    adj = np.zeros((n, n))
+    for row in C2:
+        i, j = np.flatnonzero(row)
+        adj[i, j] = adj[j, i] = 1.0
+    plant = consensus_plant(C2, gamma)
     ms = validate_c2(C2)
     yd = make_t_systems(build_tilde_plant(plant), laplacian_rnom(adj), ms)
     return SynthesisProblem(

@@ -165,3 +165,14 @@ def test_truncated_plant_file_is_a_typed_error(tmp_path, capsys):
     fileio.write_structure(s_path, InfoStructure.unrestricted(2, 2))
     assert main(["qi", str(s_path), str(plant_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_numeric_plant_entry_is_a_typed_error(tmp_path, capsys):
+    plant_path = tmp_path / "bad.plant"
+    plant_path.write_text("A\n1 1\nx\n")
+    s_path = tmp_path / "s.struct"
+    fileio.write_structure(s_path, InfoStructure.unrestricted(1, 1))
+    assert main(["qi", str(s_path), str(plant_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'x'" in err

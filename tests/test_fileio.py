@@ -84,6 +84,37 @@ class TestPlantFormat:
         assert np.array_equal(back.C2, other)
 
 
+class TestNonNumericTokens:
+    """Every reader turns a token it cannot convert into a DomainError
+    that names the file and the token."""
+
+    @pytest.mark.parametrize(
+        "reader, text, token",
+        [
+            (fileio.read_matrix, "2 x\n1 2\n", "x"),
+            (fileio.read_matrix, "1 2\n1.5 y\n", "y"),
+            (fileio.read_fir, "1 1 z\n", "z"),
+            (fileio.read_fir, "1 1 0\nq\n", "q"),
+            (fileio.read_structure, "1 2\n0 1.5\n", "1.5"),
+            (fileio.read_structure, "1 w\n0\n", "w"),
+            (fileio.read_plant, "A\n1 1\nx\n", "x"),
+            (fileio.read_plant, "A\n1 1\n0.5\nB1\n1 1\n1e\n", "1e"),
+        ],
+    )
+    def test_token_named(self, tmp_path, reader, text, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=f"bad.txt: expected .*'{token}'"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [fileio.read_matrix, fileio.read_structure])
+    def test_negative_size_rejected(self, tmp_path, reader):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 -2\n1 2\n")
+        with pytest.raises(DomainError, match="negative size"):
+            reader(path)
+
+
 class TestBundleFormat:
     def test_parse_and_paths(self, tmp_path):
         bundle = tmp_path / "prob.bundle"
