@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,8 +394,6 @@ class SweepConfig:
     n_values: tuple
     gamma_values: tuple
     horizon_q: int = DEFAULT_Q_HORIZON
-    horizon_obj: int | None = None
-    seed: int = 0
     output_path: str = "ring_sweep.csv"
 
     def __post_init__(self):
@@ -426,9 +423,7 @@ class SweepRow:
 def _solve_row(n: int, gamma: float, cfg: SweepConfig) -> SweepRow:
     t0 = time.perf_counter()
     try:
-        res = solve_ring_circulant(
-            n, gamma, horizon_q=cfg.horizon_q, horizon_obj=cfg.horizon_obj
-        )
+        res = solve_ring_circulant(n, gamma, horizon_q=cfg.horizon_q)
     except RelsynError:
         ms_elapsed = 1e3 * (time.perf_counter() - t0)
         return SweepRow(
@@ -450,7 +445,7 @@ def run_ring_sweep(cfg: SweepConfig, render: bool = True):
     """Solve every (n, gamma) pair, write the CSV, emit a plot script and
     (when matplotlib renders successfully) a PNG next to it.
 
-    Rows are written in (n, gamma) order regardless of completion order;
+    Rows are written in (n, gamma) order, whatever the order of the grid;
     a failed solve keeps its row with NaN values and the sweep continues.
 
     Returns (rows, csv_path, plot_script_path, png_path). ``png_path`` is
@@ -458,13 +453,7 @@ def run_ring_sweep(cfg: SweepConfig, render: bool = True):
     is not installed (it is the optional ``plot`` extra); the CSV and the
     plot script are always written.
     """
-    grid = [(n, g) for n in cfg.n_values for g in cfg.gamma_values]
-    workers = max(1, int(os.environ.get("RELSYN_WORKERS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ng: _solve_row(*ng, cfg), grid))
-    else:
-        rows = [_solve_row(n, g, cfg) for n, g in grid]
+    rows = [_solve_row(n, g, cfg) for n in cfg.n_values for g in cfg.gamma_values]
     rows.sort(key=lambda r: (r.n, r.gamma))
     emit_csv(rows, cfg.output_path)
     script = _emit_plot_script(cfg.output_path)

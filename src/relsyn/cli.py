@@ -28,6 +28,7 @@ from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
     build_ring_problem,
+    ring_plant,
     solve,
     solve_ring_circulant,
 )
@@ -74,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "off the delay structure (measurement graph for "
                         "pure sparsity structures)")
     p.add_argument("--horizon-q", type=int, default=None)
-    p.add_argument("--horizon-obj", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -82,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="3..12", help="range a..b or comma list")
     p.add_argument("--gamma", default="0.2,0.4,0.5", help="comma list in [0,1]")
     p.add_argument("--horizon-q", type=int, default=DEFAULT_Q_HORIZON)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="ring_sweep.csv")
     p.add_argument("--config", default=None,
                    help="key = value file overriding the flags above")
@@ -95,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--laplacian", action="store_true")
     p.add_argument("--horizon-q", type=int, default=None)
-    p.add_argument("--horizon-obj", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("example", help="run a worked example")
@@ -164,17 +162,15 @@ def _cmd_qi(args) -> int:
 
 def _build_problem_from_bundle(bundle: dict, args) -> tuple:
     """Returns (problem, gamma_label, solver_kind)."""
+    path = args.bundle
     horizon_q = args.horizon_q
     if horizon_q is None:
-        horizon_q = int(bundle.get("horizon_q", DEFAULT_Q_HORIZON))
-    horizon_obj = args.horizon_obj
-    if horizon_obj is None and "horizon_obj" in bundle:
-        horizon_obj = int(bundle["horizon_obj"])
+        horizon_q = fileio._number(path, bundle.get("horizon_q", DEFAULT_Q_HORIZON), int)
 
     if "ring" in bundle:
-        n = int(bundle["ring"])
-        gamma = float(bundle.get("gamma", 0.5))
-        prob = build_ring_problem(n, gamma, horizon_q, horizon_obj)
+        n = fileio._number(path, bundle["ring"], int)
+        gamma = fileio._number(path, bundle.get("gamma", 0.5))
+        prob = build_ring_problem(n, gamma, horizon_q)
         return prob, gamma, "ring"
 
     missing = [key for key in ("plant", "structure") if key not in bundle]
@@ -207,10 +203,8 @@ def _build_problem_from_bundle(bundle: dict, args) -> tuple:
     else:
         rnom = StateSpace.static_gain(np.zeros((plant.n_ctrl, plant.n_states)))
     yd = make_t_systems(build_tilde_plant(plant), rnom, ms)
-    prob = SynthesisProblem(
-        yd=yd, structure=structure, ms=ms, horizon_q=horizon_q, horizon_obj=horizon_obj
-    )
-    gamma = float(bundle["gamma"]) if "gamma" in bundle else math.nan
+    prob = SynthesisProblem(yd=yd, structure=structure, ms=ms, horizon_q=horizon_q)
+    gamma = fileio._number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
     return prob, gamma, "general"
 
 
@@ -218,9 +212,7 @@ def _cmd_solve(args) -> int:
     bundle = fileio.read_bundle(args.bundle)
     prob, gamma, kind = _build_problem_from_bundle(bundle, args)
     if kind == "ring":
-        res = solve_ring_circulant(
-            int(bundle["ring"]), gamma, prob.horizon_q, prob.horizon_obj
-        )
+        res = solve_ring_circulant(prob.yd.plant.n_states, gamma, prob.horizon_q)
     else:
         res = solve(prob)
     out_dir = args.out_dir or bundle["_dir"]
@@ -255,19 +247,21 @@ def _parse_n_values(text: str) -> tuple:
 
 def _cmd_ring_sweep(args) -> int:
     n_text, gamma_text = args.n, args.gamma
-    horizon_q, seed, out = args.horizon_q, args.seed, args.out
+    horizon_q, out = args.horizon_q, args.out
+    gamma_source = "--gamma"
     if args.config:
         cfgfile = fileio.read_bundle(args.config)
         n_text = cfgfile.get("n_values", n_text)
-        gamma_text = cfgfile.get("gamma_values", gamma_text)
-        horizon_q = int(cfgfile.get("horizon_q", horizon_q))
-        seed = int(cfgfile.get("seed", seed))
+        if "gamma_values" in cfgfile:
+            gamma_text, gamma_source = cfgfile["gamma_values"], args.config
+        horizon_q = fileio._number(args.config, cfgfile.get("horizon_q", horizon_q), int)
         out = cfgfile.get("output_path", out)
     cfg = bench.SweepConfig(
         n_values=_parse_n_values(n_text),
-        gamma_values=tuple(float(tok) for tok in gamma_text.split(",") if tok),
+        gamma_values=tuple(
+            fileio._number(gamma_source, tok) for tok in gamma_text.split(",") if tok
+        ),
         horizon_q=horizon_q,
-        seed=seed,
         output_path=out,
     )
     rows, csv_path, script_path, png_path = bench.run_ring_sweep(
@@ -285,12 +279,9 @@ def _cmd_simulate(args) -> int:
     bundle = fileio.read_bundle(args.bundle)
     prob, gamma, kind = _build_problem_from_bundle(bundle, args)
     if kind == "ring":
-        res = solve_ring_circulant(
-            int(bundle["ring"]), gamma, prob.horizon_q, prob.horizon_obj
-        )
-        from .solver import ring_plant
-
-        plant = ring_plant(int(bundle["ring"]), gamma)
+        n = prob.yd.plant.n_states
+        res = solve_ring_circulant(n, gamma, prob.horizon_q)
+        plant = ring_plant(n, gamma)
     else:
         res = solve(prob)
         plant = _plant_of(bundle)

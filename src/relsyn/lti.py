@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, DomainError, WellPosednessError
@@ -565,30 +566,6 @@ def drop_invariant_subspace(sys: StateSpace, directions) -> StateSpace:
     return StateSpace(V.T @ sys.A @ V, V.T @ sys.B, sys.C @ V, sys.D)
 
 
-def solve_discrete_lyapunov(A: Matrix, W: Matrix) -> Matrix:
-    """Solve X = A X A' + W for Schur A.
-
-    Dense Kronecker solve for small state dimension; accelerated
-    (squaring) fixed-point iteration with geometric stopping above that.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if n <= 40:
-        eye = np.eye(n * n)
-        X = np.linalg.solve(eye - np.kron(A, A), W.reshape(-1))
-        return X.reshape(n, n)
-    X = W.copy()
-    Ak = A.copy()
-    for _ in range(200):
-        step = Ak @ X @ Ak.T
-        X = X + step
-        Ak = Ak @ Ak
-        if np.abs(step).max() <= 1e-12 * max(np.abs(X).max(), 1e-300):
-            return X
-    raise DomainError("Lyapunov fixed-point iteration failed to converge")
-
-
 def h2_norm_lyap(sys: StateSpace) -> float:
     """H2 norm sqrt(trace(D D' + C X C')) with X the reachability Gramian.
 
@@ -601,7 +578,7 @@ def h2_norm_lyap(sys: StateSpace) -> float:
             f"A must be strictly Schur for an H2 norm "
             f"(spectral radius {sys.spectral_radius():.6f})"
         )
-    X = solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
+    X = scipy.linalg.solve_discrete_lyapunov(sys.A, sys.B @ sys.B.T)
     val = float(np.trace(sys.D @ sys.D.T) + np.trace(sys.C @ X @ sys.C.T))
     return float(np.sqrt(max(val, 0.0)))
 

@@ -1,17 +1,17 @@
 """Least-squares solution of the structured model-matching program.
 
-The objective ||T1 + T2 Q T3|| in the H2 norm, truncated at the objective
-horizon, is affine in the FIR coefficients of the free parameter Q.  After
-eliminating the compiled equality constraints (structural zeros and
-per-component zero row sums) it is a linear least-squares problem
-min ||A x - b|| whose every column is one basis response, or the
-difference of two, delayed by a whole number of taps.  One kernel serves
-both solve paths: the basis taps come from a single Markov expansion,
-A'A and A'b are lag correlations of those taps (A is never formed), and
-the small Gram system is solved by QR with column pivoting.  The general
-path takes as basis the pair responses T2 e_i e_j' T3 of every entry of
-Q; the circulant path handles the ring-consensus family by reducing the
-matrix-valued problem to the first column of Q.
+The objective ||T1 + T2 Q T3|| in the H2 norm is affine in the FIR
+coefficients of the free parameter Q.  After eliminating the compiled
+equality constraints (structural zeros and per-component zero row sums)
+it is a linear least-squares problem min ||A x - b|| over infinitely many
+rows, whose every column is one basis response, or the difference of two,
+delayed by a whole number of taps.  One kernel serves both solve paths:
+A'A, A'b and ||b||^2 are lags of the joint system [basis | target], read
+exactly off its observability Gramian (one Stein solve, no truncation),
+and the small Gram system is solved by QR with column pivoting.  The
+general path takes as basis the pair responses T2 e_i e_j' T3 of every
+entry of Q; the circulant path handles the ring-consensus family by
+reducing the matrix-valued problem to the first column of Q.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ from .youla import YoulaData, build_tilde_plant, laplacian_rnom, make_t_systems,
 
 DEFAULT_Q_HORIZON = 32
 
-#: Relative tail energy targeted when extending the objective horizon.
-_TAIL_TARGET = 1e-12
-
-#: Most tail taps the objective horizon is extended by automatically.
-_MAX_TAIL = 20000
-
 #: Entries this small may be snapped to exact zeros during cleanup.
 _SNAP_TOL = 1e-9
 
@@ -69,19 +63,29 @@ _SNAP_TOL = 1e-9
 class SynthesisProblem:
     """A structured model-matching instance.
 
-    `horizon_q` is the FIR horizon of the free parameter; `horizon_obj`
-    is the truncation horizon of the objective (resolved automatically
-    from the decay rate of the stable T realizations when omitted).
-    Construction is rejected unless the structure is quadratically
-    invariant with respect to the control-to-state pattern, which is what
-    lets the structure constraint transfer onto the free parameter.
+    `horizon_q` is the FIR horizon of the free parameter; the objective
+    itself is the exact infinite-horizon H2 norm.  Construction is
+    rejected unless the structure is quadratically invariant with respect
+    to the control-to-state pattern, which is what lets the structure
+    constraint transfer onto the free parameter.
     """
 
     yd: YoulaData
     structure: InfoStructure
     ms: MeasurementStructure
     horizon_q: int
-    horizon_obj: int | None = None
+
+    @property
+    def horizon_obj(self) -> int:
+        """Taps the objective expands: horizon_q, which bounds every
+        column delay.
+
+        The objective is not truncated; its lags are taken up to the
+        largest column delay.  Read-only.  The traced benchmark
+        (``perfbench``) reads it for its ``solver.horizon_obj`` counter
+        until ROADMAP item 1 moves that counter onto the solve record.
+        """
+        return self.horizon_q
 
     def __post_init__(self):
         yd = self.yd
@@ -104,42 +108,6 @@ class SynthesisProblem:
                 f"control-to-state pattern; violating quadruple {cert}",
                 certificate=cert,
             )
-        n_stable = max(yd.t2_stable.n_states, yd.t3_projected.n_states)
-        floor = self.horizon_q + 2 * n_stable
-        if self.horizon_obj is None:
-            object.__setattr__(
-                self, "horizon_obj", _resolve_objective_horizon(yd, self.horizon_q)
-            )
-        elif self.horizon_obj < floor:
-            raise DomainError(
-                f"horizon_obj must be at least horizon_q + 2 * state dimension "
-                f"({floor})"
-            )
-
-
-def _resolve_objective_horizon(yd: YoulaData, horizon_q: int) -> int:
-    n_stable = max(
-        yd.t1_stable.n_states, yd.t2_stable.n_states, yd.t3_projected.n_states
-    )
-    base = horizon_q + 4 * n_stable
-    rho = max(
-        yd.t1_stable.spectral_radius(),
-        yd.t2_stable.spectral_radius(),
-        yd.t3_projected.spectral_radius(),
-    )
-    if rho <= 1e-9:
-        return base
-    # geometric tail bound: keep taps until rho^(2 k) drops below target
-    tail = int(math.ceil(math.log(_TAIL_TARGET) / (2.0 * math.log(rho))))
-    needed = horizon_q + 2 * n_stable + tail
-    if tail > _MAX_TAIL:
-        raise DomainError(
-            f"the objective tail decays too slowly (spectral radius {rho:.9f}): "
-            f"a relative tail below {_TAIL_TARGET:g} needs {needed} taps, above "
-            f"the automatic limit of {horizon_q + 2 * n_stable + _MAX_TAIL}; "
-            f"pass an explicit horizon_obj"
-        )
-    return max(base, needed)
 
 
 @dataclass(frozen=True)
@@ -267,23 +235,42 @@ def _assemble_q(
 # ---------------------------------------------------------------------------
 
 
-def _gram_solve(H, b, terms, weights, delays) -> LstsqResult:
-    """Minimize ||A x - b|| over columns of delayed basis responses.
+def _gram_solve(
+    basis: StateSpace, target: StateSpace, terms, weights, delays
+) -> LstsqResult:
+    """Minimize ||A x + target|| over columns of delayed basis responses.
 
-    `H` holds the basis taps, shape (T+1, m, E), and `b` the target taps,
-    shape (T+1, m), both flattened over the m output entries.  Column a
-    of A is the sum over s of weights[a, s] times basis response
-    terms[a, s] delayed by delays[a] taps, truncated at tap T.  A is never
-    formed: A'A and A'b are lag sums of the basis taps (see
-    :func:`_normal_equations`), and the Gram system is solved by
+    `basis` has one input per basis response and `target` a single
+    input; both share the outputs.  Column a of A is the sum over s of
+    weights[a, s] times basis response terms[a, s] delayed by delays[a]
+    taps, over the whole infinite horizon.  A is never formed: A'A, A'b
+    and ||b||^2 (b = -target) are entries of the lag table of
+    :func:`_lags`, and the Gram system is solved by
     :func:`least_squares`, which keeps the rank flag and the minimal-norm
     choice.  The result carries ||A x - b|| as `residual` and
     ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
     """
-    G, c = _normal_equations(H, b, terms, weights, delays)
+    K = int(delays.max()) if delays.size else 0
+    L = _lags(basis, target, K)
+    tgt = L.shape[1] - 1
+    # columns a, b with delays k_a <= k_b read L(k_b - k_a)[e_a, e_b], and
+    # A'b[a] = -L(k_a)[target, e_a]
+    ka, kb = delays[:, None], delays[None, :]
+    lags = np.abs(ka - kb)
+    a_first = ka <= kb
+    G = np.zeros((delays.size, delays.size))
+    c = np.zeros(delays.size)
+    for s in range(terms.shape[1]):
+        ea = terms[:, s]
+        c -= weights[:, s] * L[delays, tgt, ea]
+        for t in range(terms.shape[1]):
+            eb = terms[:, t]
+            e1 = np.where(a_first, ea[:, None], eb[None, :])
+            e2 = np.where(a_first, eb[None, :], ea[:, None])
+            G += np.outer(weights[:, s], weights[:, t]) * L[lags, e1, e2]
     sol = least_squares(G, c)
     x = sol.x
-    resid_sq = float(np.vdot(b, b)) - 2.0 * float(c @ x) + float(x @ (G @ x))
+    resid_sq = float(L[0, tgt, tgt]) - 2.0 * float(c @ x) + float(x @ (G @ x))
     return LstsqResult(
         x=x,
         residual=math.sqrt(max(resid_sq, 0.0)),
@@ -293,47 +280,29 @@ def _gram_solve(H, b, terms, weights, delays) -> LstsqResult:
     )
 
 
-def _normal_equations(H, b, terms, weights, delays):
-    """A'A and A'b of :func:`_gram_solve` from lag sums of the basis taps.
+def _lags(basis: StateSpace, target: StateSpace, K: int) -> np.ndarray:
+    """Lags L(d) = sum over u >= 0 of H(u + d)' H(u), for d = 0..K.
 
-    For columns a, b with delays k_a <= k_b and lag d = k_b - k_a,
-    (A'A)[a, b] sums <H_e[u], H_f[u - d]> over u = d .. T - k_a: the full
-    lag-d correlation of the two responses minus the k_a products past
-    the truncation boundary at tap T.  (A'b)[a] sums <H_e[u], b[u + k_a]>
-    over u = 0 .. T - k_a.
+    H is the impulse response of the joint system [basis | target]:
+    block-diagonal A and B, the shared output C, so H(0) = D and
+    H(t) = C A^(t-1) B.  The observability Gramian W = A' W A + C'C sums
+    the infinite tail exactly, L(0) = D'D + B'WB and
+    L(d) = H(d)'D + B'(A')^d W B, so no horizon truncates the objective.
     """
-    T = H.shape[0] - 1
-    n_basis = H.shape[2]
-    K = int(delays.max()) if delays.size else 0
-    lag = np.empty((K + 1, n_basis, n_basis))
-    cross = np.empty((K + 1, n_basis))
-    # past[d, k] sums the products of taps T - r and T - r - d over r < k
-    past = np.zeros((K + 1, K + 1, n_basis, n_basis))
-    r = np.arange(K)
-    late = H[T - r].transpose(0, 2, 1)
-    for d in range(K + 1):
-        lag[d] = np.tensordot(H[d:], H[: T + 1 - d], axes=([0, 1], [0, 1]))
-        cross[d] = np.tensordot(H[: T + 1 - d], b[d:], axes=([0, 1], [0, 1]))
-        src = T - r - d  # negative only for (d, k) pairs no column uses
-        early = H[np.maximum(src, 0)] * (src >= 0)[:, None, None]
-        np.cumsum(late @ early, axis=0, out=past[d, 1:])
-    window = lag[:, None] - past
-
-    ka, kb = delays[:, None], delays[None, :]
-    lags = np.abs(ka - kb)
-    first = np.minimum(ka, kb)
-    a_first = ka <= kb
-    G = np.zeros((delays.size, delays.size))
-    c = np.zeros(delays.size)
-    for s in range(terms.shape[1]):
-        ea = terms[:, s]
-        c += weights[:, s] * cross[delays, ea]
-        for t in range(terms.shape[1]):
-            eb = terms[:, t]
-            e1 = np.where(a_first, ea[:, None], eb[None, :])
-            e2 = np.where(a_first, eb[None, :], ea[:, None])
-            G += np.outer(weights[:, s], weights[:, t]) * window[lags, first, e1, e2]
-    return G, c
+    A = scipy.linalg.block_diag(basis.A, target.A)
+    B = scipy.linalg.block_diag(basis.B, target.B)
+    C = np.hstack([basis.C, target.C])
+    D = np.hstack([basis.D, target.D])
+    W = scipy.linalg.solve_discrete_lyapunov(A.T, C.T @ C)
+    W = 0.5 * (W + W.T)
+    out = np.empty((K + 1, D.shape[1], D.shape[1]))
+    out[0] = D.T @ D + B.T @ W @ B
+    AdB, AtdWB = B, W @ B  # A^(d-1) B and (A')^d W B
+    for d in range(1, K + 1):
+        AtdWB = A.T @ AtdWB
+        out[d] = (C @ AdB).T @ D + B.T @ AtdWB
+        AdB = A @ AdB
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +318,12 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     coefficient at tap k of entry (i, j), paired with the dependent entry
     (i, dep) of its zero-sum group, moves the objective along the pair
     response of (i, j) minus that of (i, dep), delayed by k taps; the sum
-    of squared entries over the objective horizon is minimized through
-    the Gram kernel, and the output-feedback controller is recovered from
-    the optimal state-feedback map.
+    of squared entries over all taps is minimized through the Gram
+    kernel, and the output-feedback controller is recovered from the
+    optimal state-feedback map.
     """
     yd = prob.yd
-    T_Q, T_J = prob.horizon_q, prob.horizon_obj
+    T_Q = prob.horizon_q
     l = yd.plant.n_ctrl
     n = yd.plant.n_states
 
@@ -364,33 +333,34 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     ).reshape(-1, 2)
     weights = np.tile([1.0, -1.0], (len(basis.free), 1))
     delays = np.array([k for (k, _, _), _ in basis.free], dtype=int)
-    target = markov(yd.t1_stable, T_J).taps.transpose(0, 2, 1)
-    lsres = _gram_solve(
-        _pair_responses(yd, T_J),
-        -target.reshape(T_J + 1, -1),
-        terms,
-        weights,
-        delays,
+    t1 = yd.t1_stable
+    eye_w = np.eye(t1.n_inputs)
+    # vec(T1) = (I (x) T1) vec(I): one input feeding every column of T1
+    target = StateSpace(
+        np.kron(eye_w, t1.A),
+        t1.B.T.reshape(-1, 1),
+        np.kron(eye_w, t1.C),
+        t1.D.T.reshape(-1, 1),
     )
+    lsres = _gram_solve(_pair_responses(yd), target, terms, weights, delays)
 
     q_opt = _assemble_q(basis, lsres.x, T_Q, l, n)
     return _finalize(prob, q_opt, lsres, objective=lsres.residual)
 
 
-def _pair_responses(yd: YoulaData, horizon: int) -> np.ndarray:
-    """Taps of T2 e_i e_j' T3 for every entry (i, j) of Q, in one array.
+def _pair_responses(yd: YoulaData) -> StateSpace:
+    """T2 e_i e_j' T3 for every entry (i, j) of Q, as one system.
 
     vec(T2 Q T3) = (T3' (x) T2) vec(Q), realized as the series connection
-    (T3' (x) I) (I (x) T2), so one Markov expansion gives every pair
-    response: entry [t, w * nz + z, j * l + i] is tap t of entry (z, w)
-    of T2 e_i e_j' T3.
+    (T3' (x) I) (I (x) T2): output w * nz + z, input j * l + i is entry
+    (z, w) of T2 e_i e_j' T3.
     """
     t2, t3 = yd.t2_stable, yd.t3_projected
     eye_z = np.eye(t2.n_outputs)
     eye_n = np.eye(t3.n_outputs)
     left = StateSpace(*(np.kron(M.T, eye_z) for M in (t3.A, t3.C, t3.B, t3.D)))
     right = StateSpace(*(np.kron(eye_n, M) for M in (t2.A, t2.B, t2.C, t2.D)))
-    return markov(series(left, right), horizon).taps
+    return series(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +416,7 @@ def ring_plant(n: int, gamma: float) -> Plant:
 
 
 def build_ring_problem(
-    n: int,
-    gamma: float,
-    horizon_q: int = DEFAULT_Q_HORIZON,
-    horizon_obj: int | None = None,
+    n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
 ) -> SynthesisProblem:
     """Ring plant + Laplacian nominal + ring delay structure, ready to solve."""
     from .structure import ring_delay_structure
@@ -460,11 +427,7 @@ def build_ring_problem(
         build_tilde_plant(plant), laplacian_rnom(ring_adjacency(n)), ms
     )
     return SynthesisProblem(
-        yd=yd,
-        structure=ring_delay_structure(n),
-        ms=ms,
-        horizon_q=horizon_q,
-        horizon_obj=horizon_obj,
+        yd=yd, structure=ring_delay_structure(n), ms=ms, horizon_q=horizon_q
     )
 
 
@@ -502,16 +465,17 @@ class CirculantReduction:
     """Single-column form of a circulant synthesis problem.
 
     The objective satisfies ||T1 + T2 Q T3||^2 = scale * ||target +
-    basis q||^2 where `target` is the first column of T1, input j of
-    `basis` is the response column T2 T3 (M e_j), and q stacks the free
-    scalar FIR parameters with per-parameter horizons `param_horizons`.
-    Both are truncated at the objective horizon.
+    basis q||^2 exactly, where `target` is the first column of T1, input
+    j of `basis` is the response column T2 T3 (M e_j), and q stacks the
+    free scalar FIR parameters with per-parameter horizons
+    `param_horizons`.  Both are state-space systems, so the H2 norm is
+    taken over the whole infinite horizon.
     """
 
     n: int
     scale: float
-    target: FirSystem
-    basis: FirSystem
+    target: StateSpace
+    basis: StateSpace
     lift: FirSystem
     param_horizons: tuple
 
@@ -541,26 +505,23 @@ def circulant_reduce(prob: SynthesisProblem) -> CirculantReduction:
     if not _is_circulant(prob.structure.min_delay):
         raise StructureViolationError("structure is not circulant")
 
-    T_Q, T_J = prob.horizon_q, prob.horizon_obj
     lift = eliminate_q0(n)
     first = StateSpace.static_gain(np.eye(plant.n_dist)[:, :1])
     return CirculantReduction(
         n=n,
         scale=float(n),
-        target=markov(series(yd.t1_stable, first), T_J),
-        basis=markov(
-            series(yd.t2_stable, series(yd.t3_projected, lift.to_statespace())), T_J
-        ),
+        target=series(yd.t1_stable, first),
+        basis=series(yd.t2_stable, series(yd.t3_projected, lift.to_statespace())),
         lift=lift,
-        param_horizons=tuple(T_Q - min(j, n - j) for j in range(1, n)),
+        # -1: the parameter's ring distance exceeds horizon_q, so it has no taps
+        param_horizons=tuple(
+            max(prob.horizon_q - min(j, n - j), -1) for j in range(1, n)
+        ),
     )
 
 
 def solve_ring_circulant(
-    n: int,
-    gamma: float,
-    horizon_q: int = DEFAULT_Q_HORIZON,
-    horizon_obj: int | None = None,
+    n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
 ) -> SynthesisResult:
     """Solve the ring-consensus instance through the circulant reduction.
 
@@ -571,14 +532,12 @@ def solve_ring_circulant(
     column back to the full parameter before recovering the
     output-feedback controller.
     """
-    prob = build_ring_problem(n, gamma, horizon_q, horizon_obj)
+    prob = build_ring_problem(n, gamma, horizon_q)
     red = circulant_reduce(prob)
     index = [(j, b) for j, hj in enumerate(red.param_horizons) for b in range(hj + 1)]
     terms = np.array([j for j, _ in index], dtype=int).reshape(-1, 1)
     delays = np.array([b for _, b in index], dtype=int)
-    lsres = _gram_solve(
-        red.basis.taps, -red.target.taps[:, :, 0], terms, np.ones(terms.shape), delays
-    )
+    lsres = _gram_solve(red.basis, red.target, terms, np.ones(terms.shape), delays)
 
     params = [np.zeros(h + 1) for h in red.param_horizons]
     for (j, b), val in zip(index, lsres.x):

@@ -98,7 +98,7 @@ class YoulaData:
     strictly Schur), and ``t3_projected`` additionally projects the state
     output onto the disagreement subspace, which is exact once the free
     parameter annihilates the indicators.  Solvers consume the stable
-    variants so that FIR truncations converge.
+    variants so that their H2 norms are finite.
     """
 
     r_nom: StateSpace

@@ -41,6 +41,7 @@ from relsyn.bench import (
 )
 from relsyn.solver import _reduce_constraints
 from conftest import (
+    ORACLE_HORIZON,
     rand_connected_c2,
     rand_relative_fir,
     rand_relative_fir_exact,
@@ -180,7 +181,7 @@ def test_criterion_6_solver_oracle():
     # brute-force dense quadratic program: enumerate the free coefficients,
     # assemble the normal equations from explicit FIR composition, solve
     yd = prob.yd
-    T_J = prob.horizon_obj
+    T_J = ORACLE_HORIZON
     F1 = markov(yd.t1_stable, T_J)
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)

@@ -193,26 +193,6 @@ class TestSweep:
 
         assert run("a.csv") == run("b.csv")
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        cfg = SweepConfig(
-            n_values=(3, 4),
-            gamma_values=(0.2, 0.5),
-            horizon_q=8,
-            output_path=str(tmp_path / "serial.csv"),
-        )
-        serial, *_ = run_ring_sweep(cfg, render=False)
-        monkeypatch.setenv("RELSYN_WORKERS", "3")
-        cfg2 = SweepConfig(
-            n_values=(3, 4),
-            gamma_values=(0.2, 0.5),
-            horizon_q=8,
-            output_path=str(tmp_path / "pooled.csv"),
-        )
-        pooled, *_ = run_ring_sweep(cfg2, render=False)
-        assert [(r.n, r.gamma, r.J) for r in serial] == [
-            (r.n, r.gamma, r.J) for r in pooled
-        ]
-
     def test_sweep_row_matches_direct_call(self, tmp_path):
         cfg = SweepConfig(
             n_values=(3,),

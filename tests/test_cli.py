@@ -102,7 +102,7 @@ def test_ring_sweep_config_file(tmp_path):
     out_csv = tmp_path / "cfg_sweep.csv"
     cfgfile.write_text(
         f"n_values = 3,4\ngamma_values = 0.5\nhorizon_q = 8\n"
-        f"seed = 1\noutput_path = {out_csv}\n"
+        f"output_path = {out_csv}\n"
     )
     assert main(["ring-sweep", "--config", str(cfgfile), "--no-plot"]) == 0
     assert out_csv.exists()
@@ -176,3 +176,31 @@ def test_non_numeric_plant_entry_is_a_typed_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "bundle_text, token",
+    [
+        ("ring = x\n", "'x'"),
+        ("ring = 3\ngamma = abc\n", "'abc'"),
+        ("ring = 3\nhorizon_q = 2.5\n", "'2.5'"),
+    ],
+    ids=["ring", "gamma", "horizon_q"],
+)
+def test_non_numeric_bundle_value_is_a_typed_error(tmp_path, capsys, bundle_text, token):
+    bundle = tmp_path / "bad.bundle"
+    bundle.write_text(bundle_text)
+    assert main(["solve", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert token in err
+
+
+def test_non_numeric_sweep_gamma_is_a_typed_error(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["ring-sweep", "--n", "3..4", "--gamma", "0.2,x", "--out", str(out_csv), "--no-plot"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'x'" in err
+    assert not out_csv.exists()

@@ -1,8 +1,9 @@
 """The Gram kernel against dense QR on the materialized least-squares matrix.
 
-Both solve paths build the normal equations from lag sums of the basis
-taps and never form A.  The oracle here forms A column by column, as
-plain shifted FIR responses, and solves it by QR with column pivoting;
+Both solve paths build the normal equations from the exact Gramian lags
+of the basis and target systems and never form A.  The oracle here forms
+A column by column, as plain shifted FIR responses truncated at
+ORACLE_HORIZON taps, and solves it by QR with column pivoting;
 cond(G) = cond(A)^2, so this is the check that squaring lost nothing.
 """
 
@@ -21,15 +22,15 @@ from relsyn import (
     solve,
     solve_ring_circulant,
 )
-from relsyn.solver import _assemble_q, _expand_circulant, _reduce_constraints
+from relsyn.solver import _assemble_q, _expand_circulant, _lags, _reduce_constraints
 
-from conftest import consensus_problem, rand_connected_c2
+from conftest import ORACLE_HORIZON, consensus_problem, rand_connected_c2, rand_schur
 
 
 def dense_general(prob):
     """(J, Q) from the materialized A of the general path."""
     yd = prob.yd
-    T_Q, T_J = prob.horizon_q, prob.horizon_obj
+    T_Q, T_J = prob.horizon_q, ORACLE_HORIZON
     l, n = yd.plant.n_ctrl, yd.plant.n_states
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
@@ -53,11 +54,11 @@ def dense_general(prob):
     return lsres.residual, _assemble_q(basis, lsres.x, T_Q, l, n).taps
 
 
-def dense_circulant(n, gamma, horizon_q, horizon_obj=None):
+def dense_circulant(n, gamma, horizon_q):
     """(J, Q) from the materialized A of the circulant path."""
-    prob = build_ring_problem(n, gamma, horizon_q, horizon_obj)
+    prob = build_ring_problem(n, gamma, horizon_q)
     red = circulant_reduce(prob)
-    yd, T_J = prob.yd, prob.horizon_obj
+    yd, T_J = prob.yd, ORACLE_HORIZON
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
     cols, index = [], []
@@ -85,20 +86,30 @@ def _assert_agrees(res, J, Q):
     assert np.abs(res.q_opt.taps - Q).max() <= 1e-8 * np.abs(Q).max()
 
 
-# a short explicit horizon_obj makes the truncation boundary count
-@pytest.mark.parametrize("horizon_obj", [None, 24])
 @pytest.mark.parametrize("gamma", [0.2, 0.5])
-def test_general_path_matches_dense_qr(rng, gamma, horizon_obj):
+def test_general_path_matches_dense_qr(rng, gamma):
     C2 = rand_connected_c2(rng, 5, extra_edges=2)
-    prob = consensus_problem(C2, gamma, 8, horizon_obj)
+    prob = consensus_problem(C2, gamma, 8)
     _assert_agrees(solve(prob), *dense_general(prob))
 
 
-@pytest.mark.parametrize("n, horizon_obj", [(5, None), (8, None), (8, 48)])
+@pytest.mark.parametrize("n", [5, 8])
 @pytest.mark.parametrize("gamma", [0.2, 0.5])
-def test_circulant_path_matches_dense_qr(n, gamma, horizon_obj):
-    res = solve_ring_circulant(n, gamma, 32, horizon_obj)
-    _assert_agrees(res, *dense_circulant(n, gamma, 32, horizon_obj))
+def test_circulant_path_matches_dense_qr(n, gamma):
+    res = solve_ring_circulant(n, gamma, 32)
+    _assert_agrees(res, *dense_circulant(n, gamma, 32))
+
+
+def test_lags_match_impulse_response_sums(rng):
+    # random systems with feedthrough, so every term of the lag formula
+    # counts (the T systems of a plant have none)
+    basis = rand_schur(rng, 4, 3, 2, rho=0.5)
+    target = rand_schur(rng, 3, 1, 2, rho=0.5)
+    H = np.concatenate([markov(basis, 200).taps, markov(target, 200).taps], axis=2)
+    L = _lags(basis, target, 5)
+    for d in range(6):
+        ref = np.tensordot(H[d:], H[: H.shape[0] - d], axes=([0, 1], [0, 1]))
+        assert np.abs(L[d] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_gram_system_is_square(monkeypatch):

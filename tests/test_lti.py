@@ -206,8 +206,8 @@ class TestH2Norms:
         assert abs(lyap - fir) < 1e-8
 
     def test_lyap_large_state_iterative_path(self, rng):
-        # beyond 40 states the Gramian comes from the accelerated
-        # fixed-point iteration instead of the Kronecker solve
+        # a 45-state Gramian, well past the size where scipy's Stein solver
+        # leaves its Kronecker method for the bilinear transform
         sys = rand_schur(rng, 45, 2, 2, rho=0.85)
         lyap = h2_norm_lyap(sys)
         fir = h2_norm_fir(markov(sys, 600))

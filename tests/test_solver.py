@@ -32,16 +32,18 @@ from relsyn import (
 )
 from relsyn.solver import _reduce_constraints
 
+from conftest import ORACLE_HORIZON
+
 
 def objective_value(prob, Q: FirSystem) -> float:
-    """Independent objective evaluator: truncated H2 norm of the matched
-    map assembled by plain FIR composition."""
-    T_J = prob.horizon_obj
+    """Independent objective evaluator: H2 norm of the matched map
+    assembled by plain FIR composition over ORACLE_HORIZON taps."""
+    T_J = ORACLE_HORIZON
     yd = prob.yd
     matched = fir_add(
         markov(yd.t1_stable, T_J),
         fir_compose(
-            fir_compose(markov(yd.t2_stable, T_J), Q.padded(T_J), horizon=T_J),
+            fir_compose(markov(yd.t2_stable, T_J), Q, horizon=T_J),
             markov(yd.t3_projected, T_J),
             horizon=T_J,
         ),
@@ -175,7 +177,7 @@ class TestSolve:
         prob = build_ring_problem(3, 0.5, horizon_q=8)
         res = solve(prob)
         yd = prob.yd
-        T_J = prob.horizon_obj
+        T_J = ORACLE_HORIZON
         F1 = markov(yd.t1_stable, T_J)
         F2 = markov(yd.t2_stable, T_J)
         F3 = markov(yd.t3_projected, T_J)
@@ -237,6 +239,12 @@ class TestRingCirculant:
     def test_gamma_out_of_range(self):
         with pytest.raises(DomainError):
             solve_ring_circulant(3, 1.5)
+
+    def test_slow_tail_needs_no_objective_horizon(self):
+        # the n = 45 tail would need 32055 taps to fall below 1e-12 of J;
+        # the exact objective truncates nothing, so the problem just builds
+        prob = build_ring_problem(45, 0.5, 32)
+        assert prob.horizon_obj == 32
 
     def test_recovered_controller_consistency(self):
         res = solve_ring_circulant(4, 0.3, horizon_q=8)
@@ -301,7 +309,7 @@ class TestInvariants:
         # norm
         from relsyn import parallel
 
-        for n, gamma in ((4, 0.3), (6, 0.5)):
+        for n, gamma in ((4, 0.3), (6, 0.5), (20, 0.2)):
             prob = build_ring_problem(n, gamma, horizon_q=8)
             res = solve_ring_circulant(n, gamma, horizon_q=8)
             yd = prob.yd
@@ -312,18 +320,6 @@ class TestInvariants:
             assert res.objective == pytest.approx(
                 h2_norm_lyap(matched), abs=1e-8
             )
-
-
-class TestObjectiveHorizon:
-    def test_slow_tail_raises_instead_of_truncating(self):
-        # n = 45 needs 32055 taps for a 1e-12 tail; the automatic limit is
-        # 20000 tail taps, so the horizon must be given explicitly
-        with pytest.raises(DomainError, match=r"needs 32055 taps.*horizon_obj"):
-            build_ring_problem(45, 0.5, 32)
-
-    def test_explicit_horizon_bypasses_the_limit(self):
-        prob = build_ring_problem(45, 0.5, 32, horizon_obj=500)
-        assert prob.horizon_obj == 500
 
 
 def _clean_r_fir_loops(r_fir, bound, ms, snap_tol=1e-9):
