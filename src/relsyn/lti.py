@@ -338,12 +338,27 @@ def fir_compose(G: FirSystem, H: FirSystem, horizon: int | None = None) -> FirSy
         )
     if horizon is None:
         horizon = G.horizon + H.horizon
-    out = np.zeros((horizon + 1, G.n_outputs, H.n_inputs))
-    for a in range(min(G.horizon, horizon) + 1):
-        hi = min(H.horizon, horizon - a)
-        # out[a + b] += G_a @ H_b for every retained b
-        out[a : a + hi + 1] += np.einsum("ij,bjk->bik", G.taps[a], H.taps[: hi + 1])
-    return FirSystem(out)
+    return FirSystem(_convolve(G.taps, H.taps, horizon))
+
+
+def _convolve(g: np.ndarray, h: np.ndarray, horizon: int) -> np.ndarray:
+    """Taps 0..horizon of the Cauchy product of tap stacks g and h.
+
+    Loops over the taps of the shorter stack, each pass one batched
+    product against the whole other stack.
+    """
+    out = np.zeros((horizon + 1, g.shape[1], h.shape[2]))
+    if g.shape[0] <= h.shape[0]:
+        for a in range(min(g.shape[0] - 1, horizon) + 1):
+            hi = min(h.shape[0] - 1, horizon - a)
+            # out[a + b] += g_a @ h_b for every retained b
+            out[a : a + hi + 1] += np.einsum("ij,bjk->bik", g[a], h[: hi + 1])
+    else:
+        for b in range(min(h.shape[0] - 1, horizon) + 1):
+            hi = min(g.shape[0] - 1, horizon - b)
+            # out[a + b] += g_a @ h_b for every retained a
+            out[b : b + hi + 1] += np.einsum("aij,jk->aik", g[: hi + 1], h[b])
+    return out
 
 
 def fir_add(G: FirSystem, H: FirSystem) -> FirSystem:
@@ -371,18 +386,17 @@ def fir_lft(G: FirSystem, H: FirSystem, horizon: int) -> FirSystem:
     nu = H.n_outputs
     static = np.eye(nu) - H.taps[0] @ G.taps[0]
     Phi = _solve_static_loop(static, np.eye(nu))
-    S = np.zeros((horizon + 1, nu, H.n_inputs))
-    # (H G)_m for m >= 1 feeds back into strictly earlier taps of S
-    HG = np.zeros((horizon + 1, nu, nu))
-    for a in range(min(H.horizon, horizon) + 1):
-        hi = min(G.horizon, horizon - a)
-        HG[a : a + hi + 1] += np.einsum("ij,bjk->bik", H.taps[a], G.taps[: hi + 1])
+    # [(HG)_1 (HG)_2 ... (HG)_horizon]: (H G)_m for m >= 1 feeds back into
+    # strictly earlier taps of S
+    HG = _convolve(H.taps, G.taps, horizon)[1:]
+    HG_row = HG.transpose(1, 0, 2).reshape(nu, horizon * nu)
+    # R[horizon - k] = S[k], so the earlier taps S[k-1], ..., S[0] that tap k
+    # sums over are the contiguous slice R[horizon - k + 1:]
+    R = np.zeros((horizon + 1, nu, H.n_inputs))
     for k in range(horizon + 1):
-        acc = H.tap(k).copy()
-        for m in range(1, k + 1):
-            acc = acc + HG[m] @ S[k - m]
-        S[k] = Phi @ acc
-    return FirSystem(S)
+        past = R[horizon - k + 1 :].reshape(k * nu, H.n_inputs)
+        R[horizon - k] = Phi @ (H.tap(k) + HG_row[:, : k * nu] @ past)
+    return FirSystem(R[::-1].copy())
 
 
 def series(G: StateSpace, H: StateSpace) -> StateSpace:

@@ -8,7 +8,8 @@ rows, whose every column is one basis response, or the difference of two,
 delayed by a whole number of taps.  One kernel serves both solve paths:
 A'A, A'b and ||b||^2 are lags of the joint system [basis | target], read
 exactly off its observability Gramian (one Stein solve, no truncation),
-and the small Gram system is solved by QR with column pivoting.  The
+and the small Gram system is solved by Cholesky, falling back to QR with
+column pivoting when G is singular to working precision.  The
 general path takes as basis the pair responses T2 e_i e_j' T3 of every
 entry of Q; the circulant path handles the ring-consensus family by
 reducing the matrix-valued problem to the first column of Q.
@@ -245,31 +246,16 @@ def _gram_solve(
     weights[a, s] times basis response terms[a, s] delayed by delays[a]
     taps, over the whole infinite horizon.  A is never formed: A'A, A'b
     and ||b||^2 (b = -target) are entries of the lag table of
-    :func:`_lags`, and the Gram system is solved by
-    :func:`least_squares`, which keeps the rank flag and the minimal-norm
-    choice.  The result carries ||A x - b|| as `residual` and
-    ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
+    :func:`_lags`, gathered by :func:`_gram_system`, and the Gram system
+    is solved by :func:`_solve_gram`.  The result carries ||A x - b|| as
+    `residual` and ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
     """
     K = int(delays.max()) if delays.size else 0
     L = _lags(basis, target, K)
-    tgt = L.shape[1] - 1
-    # columns a, b with delays k_a <= k_b read L(k_b - k_a)[e_a, e_b], and
-    # A'b[a] = -L(k_a)[target, e_a]
-    ka, kb = delays[:, None], delays[None, :]
-    lags = np.abs(ka - kb)
-    a_first = ka <= kb
-    G = np.zeros((delays.size, delays.size))
-    c = np.zeros(delays.size)
-    for s in range(terms.shape[1]):
-        ea = terms[:, s]
-        c -= weights[:, s] * L[delays, tgt, ea]
-        for t in range(terms.shape[1]):
-            eb = terms[:, t]
-            e1 = np.where(a_first, ea[:, None], eb[None, :])
-            e2 = np.where(a_first, eb[None, :], ea[:, None])
-            G += np.outer(weights[:, s], weights[:, t]) * L[lags, e1, e2]
-    sol = least_squares(G, c)
+    G, c = _gram_system(L, terms, weights, delays)
+    sol = _solve_gram(G, c)
     x = sol.x
+    tgt = L.shape[1] - 1
     resid_sq = float(L[0, tgt, tgt]) - 2.0 * float(c @ x) + float(x @ (G @ x))
     return LstsqResult(
         x=x,
@@ -277,6 +263,66 @@ def _gram_solve(
         gradient_norm=sol.residual,
         rank=sol.rank,
         rank_deficient=sol.rank_deficient,
+    )
+
+
+def _gram_system(L: np.ndarray, terms, weights, delays):
+    """G = A'A and A'b of :func:`_gram_solve` from the lag table L.
+
+    Block (k1, k2) of the block-Toeplitz Gram T of the whole (delay,
+    input) lattice is L(k2 - k1) on and above the block diagonal and its
+    transpose below: entry (k1 m + e1, k2 m + e2) is the inner product of
+    basis response e1 delayed by k1 taps with e2 delayed by k2.  Column a
+    of A sits at lattice points delays[a] m + terms[a, s], so G is T
+    gathered by rows and then by columns, weighted by `weights`.
+    """
+    K = L.shape[0] - 1
+    m = tgt = L.shape[1] - 1
+    T = np.zeros((K + 1, m, K + 1, m))
+    for d in range(K + 1):
+        k = np.arange(K + 1 - d)
+        T[k, :, k + d, :] = L[d, :m, :m]
+        if d:
+            T[k + d, :, k, :] = L[d, :m, :m].T
+    T = T.reshape((K + 1) * m, (K + 1) * m)
+    idx = delays[:, None] * m + terms
+    rows = sum(weights[:, s, None] * T[idx[:, s]] for s in range(terms.shape[1]))
+    G = sum(rows[:, idx[:, t]] * weights[:, t] for t in range(terms.shape[1]))
+    # A'b[a] = -sum over s of weights[a, s] L(k_a)[target, terms[a, s]]
+    c = -(weights * L[delays[:, None], tgt, terms]).sum(axis=1)
+    return G, c
+
+
+def _solve_gram(G: np.ndarray, c: np.ndarray) -> LstsqResult:
+    """Solve the symmetric Gram system G x = c by Cholesky.
+
+    The factorization is trusted only when LAPACK's estimate of the
+    reciprocal condition number is at least cols * eps; when it fails or
+    the estimate is smaller, G is singular to working precision and
+    :func:`least_squares` solves it instead, which keeps the rank flag and
+    the minimal-norm choice.  `residual` is ||G x - c||.
+    """
+    cols = c.size
+    if cols == 0:  # dpocon rejects an empty factor
+        return least_squares(G, c)
+    try:
+        factor = scipy.linalg.cho_factor(G, check_finite=False)
+    except np.linalg.LinAlgError:
+        return least_squares(G, c)
+    rcond, _ = scipy.linalg.lapack.dpocon(
+        factor[0], np.abs(G).sum(axis=0).max(), uplo="L" if factor[1] else "U"
+    )
+    # written so that a NaN estimate (non-finite G) also falls back
+    if not rcond >= cols * np.finfo(float).eps:
+        return least_squares(G, c)
+    x = scipy.linalg.cho_solve(factor, c, check_finite=False)
+    resid_vec = G @ x - c
+    return LstsqResult(
+        x=x,
+        residual=float(np.linalg.norm(resid_vec)),
+        gradient_norm=float(np.linalg.norm(G @ resid_vec)),
+        rank=cols,
+        rank_deficient=False,
     )
 
 

@@ -5,6 +5,9 @@ of the basis and target systems and never form A.  The oracle here forms
 A column by column, as plain shifted FIR responses truncated at
 ORACLE_HORIZON taps, and solves it by QR with column pivoting;
 cond(G) = cond(A)^2, so this is the check that squaring lost nothing.
+`reference_gram` keeps the entry-by-entry assembly of G and A'b from the
+lag table, which sees a transposed or shifted block directly rather than
+only through x.
 """
 
 import math
@@ -22,7 +25,13 @@ from relsyn import (
     solve,
     solve_ring_circulant,
 )
-from relsyn.solver import _assemble_q, _expand_circulant, _lags, _reduce_constraints
+from relsyn.solver import (
+    _assemble_q,
+    _expand_circulant,
+    _lags,
+    _reduce_constraints,
+    _solve_gram,
+)
 
 from conftest import ORACLE_HORIZON, consensus_problem, rand_connected_c2, rand_schur
 
@@ -113,18 +122,111 @@ def test_lags_match_impulse_response_sums(rng):
 
 
 def test_gram_system_is_square(monkeypatch):
-    # the system handed to least_squares is the cols x cols Gram matrix
+    # the system handed to the Gram solve is the cols x cols Gram matrix
     import relsyn.solver as solver
 
     shapes = []
-    original = solver.least_squares
+    original = solver._solve_gram
 
-    def spy(A, b):
-        shapes.append(np.shape(A))
-        return original(A, b)
+    def spy(G, c):
+        shapes.append(np.shape(G))
+        return original(G, c)
 
-    monkeypatch.setattr(solver, "least_squares", spy)
+    monkeypatch.setattr(solver, "_solve_gram", spy)
     solve_ring_circulant(6, 0.4, 16)
     solve(build_ring_problem(4, 0.4, horizon_q=6))
     assert len(shapes) == 2
     assert all(rows == cols for rows, cols in shapes)
+
+
+def reference_gram(L, terms, weights, delays):
+    """G = A'A and A'b entry by entry: for every pair of terms, columns
+    a, b with delays k_a <= k_b read L(k_b - k_a)[e_a, e_b]."""
+    tgt = L.shape[1] - 1
+    ka, kb = delays[:, None], delays[None, :]
+    lags = np.abs(ka - kb)
+    a_first = ka <= kb
+    G = np.zeros((delays.size, delays.size))
+    c = np.zeros(delays.size)
+    for s in range(terms.shape[1]):
+        ea = terms[:, s]
+        c -= weights[:, s] * L[delays, tgt, ea]
+        for t in range(terms.shape[1]):
+            eb = terms[:, t]
+            e1 = np.where(a_first, ea[:, None], eb[None, :])
+            e2 = np.where(a_first, eb[None, :], ea[:, None])
+            G += np.outer(weights[:, s], weights[:, t]) * L[lags, e1, e2]
+    return G, c
+
+
+def _gram_calls(monkeypatch, run):
+    """(L, terms, weights, delays, G, c) of every Gram assembly in run()."""
+    import relsyn.solver as solver
+
+    calls = []
+    original = solver._gram_system
+
+    def spy(L, terms, weights, delays):
+        G, c = original(L, terms, weights, delays)
+        calls.append((L, terms, weights, delays, G, c))
+        return G, c
+
+    monkeypatch.setattr(solver, "_gram_system", spy)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("case", ["general", "ring5", "ring8"])
+def test_gram_assembly_matches_reference(monkeypatch, rng, case):
+    if case == "general":
+        prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
+        calls = _gram_calls(monkeypatch, lambda: solve(prob))
+    else:
+        n = int(case[4:])
+        calls = _gram_calls(monkeypatch, lambda: solve_ring_circulant(n, 0.4, 32))
+    assert len(calls) == 1
+    L, terms, weights, delays, G, c = calls[0]
+    assert len(set(delays.tolist())) > 1  # off-diagonal blocks are exercised
+    G_ref, c_ref = reference_gram(L, terms, weights, delays)
+    assert np.abs(G - G_ref).max() <= 1e-13 * np.abs(G_ref).max()
+    assert np.abs(c - c_ref).max() <= 1e-13 * np.abs(c_ref).max()
+
+
+class TestSolveGram:
+    def test_well_conditioned_system_takes_cholesky(self, rng, monkeypatch):
+        import relsyn.solver as solver
+
+        def no_fallback(A, b):
+            raise AssertionError("fell back to least_squares")
+
+        monkeypatch.setattr(solver, "least_squares", no_fallback)
+        M = rng.normal(size=(6, 6))
+        G, c = M.T @ M + np.eye(6), rng.normal(size=6)
+        sol = _solve_gram(G, c)
+        assert np.abs(sol.x - np.linalg.solve(G, c)).max() <= 1e-12
+        assert (sol.rank, sol.rank_deficient) == (6, False)
+        assert sol.residual == pytest.approx(np.linalg.norm(G @ sol.x - c))
+
+    def test_tiny_pivot_falls_back_to_least_squares(self):
+        # Cholesky succeeds here with a pivot of 7.5e-9, but the condition
+        # estimate (4.6e-17) is far below cols * eps
+        G, c = np.array([[0.3, 0.3], [0.3, 0.3]]), np.array([1.0, 2.0])
+        got, want = _solve_gram(G, c), least_squares(G, c)
+        assert got.rank_deficient
+        assert np.array_equal(got.x, want.x)
+        assert (got.residual, got.gradient_norm, got.rank, got.rank_deficient) == (
+            want.residual,
+            want.gradient_norm,
+            want.rank,
+            want.rank_deficient,
+        )
+
+    def test_zero_gram_gives_minimal_norm_zero(self):
+        sol = _solve_gram(np.zeros((3, 3)), np.ones(3))
+        assert np.array_equal(sol.x, np.zeros(3))
+        assert (sol.rank, sol.rank_deficient) == (0, True)
+
+    def test_empty_system(self):
+        sol = _solve_gram(np.zeros((0, 0)), np.zeros(0))
+        assert sol.x.shape == (0,)
+        assert not sol.rank_deficient

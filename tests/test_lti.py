@@ -40,6 +40,30 @@ def neumann_series(g: FirSystem, h: FirSystem, horizon: int) -> FirSystem:
     return s
 
 
+def loop_compose(g: FirSystem, h: FirSystem, horizon: int) -> np.ndarray:
+    """Cauchy product tap by tap, over every pair of taps."""
+    out = np.zeros((horizon + 1, g.n_outputs, h.n_inputs))
+    for a in range(g.horizon + 1):
+        for b in range(h.horizon + 1):
+            if a + b <= horizon:
+                out[a + b] += g.taps[a] @ h.taps[b]
+    return out
+
+
+def loop_lft(g: FirSystem, h: FirSystem, horizon: int) -> np.ndarray:
+    """S = h + h g S tap by tap: S_k = (I - h_0 g_0)^(-1) (h_k + sum over
+    1 <= m <= k of (h g)_m S_(k-m)), one product per (k, m) pair."""
+    hg = loop_compose(h, g, horizon)
+    phi = np.linalg.inv(np.eye(h.n_outputs) - h.tap(0) @ g.tap(0))
+    S = np.zeros((horizon + 1, h.n_outputs, h.n_inputs))
+    for k in range(horizon + 1):
+        acc = h.tap(k).copy()
+        for m in range(1, k + 1):
+            acc += hg[m] @ S[k - m]
+        S[k] = phi @ acc
+    return S
+
+
 def contractive_pair(rng):
     """Random G (strictly proper) and H whose feedback loop has spectral
     radius below 0.9, as the Neumann-comparison invariant requires."""
@@ -104,6 +128,19 @@ class TestFirCompose:
         with pytest.raises(Exception):
             fir_compose(FirSystem.identity(2), FirSystem.identity(3))
 
+    @pytest.mark.parametrize(
+        "g_horizon, h_horizon, horizon",
+        [(9, 3, None), (3, 9, None), (9, 7, 5)],
+        ids=["h-shorter", "g-shorter", "horizon-cut"],
+    )
+    def test_matches_loop_reference(self, rng, g_horizon, h_horizon, horizon):
+        g = FirSystem(rng.normal(size=(g_horizon + 1, 3, 4)))
+        h = FirSystem(rng.normal(size=(h_horizon + 1, 4, 2)))
+        out = fir_compose(g, h, horizon=horizon)
+        want = loop_compose(g, h, g_horizon + h_horizon if horizon is None else horizon)
+        assert out.taps.shape == want.shape
+        assert np.abs(out.taps - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestLft:
     def test_zero_loop_returns_h(self, rng):
@@ -126,6 +163,19 @@ class TestLft:
     def test_ill_posed_rejected(self):
         with pytest.raises(WellPosednessError):
             lft(StateSpace.static_gain([[1.0]]), StateSpace.static_gain([[1.0]]))
+
+    @pytest.mark.parametrize(
+        "g_horizon, h_horizon, horizon",
+        [(12, 12, 12), (12, 4, 12), (3, 12, 10)],
+        ids=["equal", "h-shorter-than-horizon", "g-short-horizon-cut"],
+    )
+    def test_fir_lft_matches_loop_reference(self, rng, g_horizon, h_horizon, horizon):
+        g = FirSystem(0.3 * rng.normal(size=(g_horizon + 1, 2, 3)))
+        h = FirSystem(0.3 * rng.normal(size=(h_horizon + 1, 3, 2)))
+        out = fir_lft(g, h, horizon)
+        want = loop_lft(g, h, horizon)
+        assert out.taps.shape == want.shape
+        assert np.abs(out.taps - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fir_lft_matches_state_space(self, rng):
         G, H = contractive_pair(rng)
