@@ -22,34 +22,83 @@ from .lti import FirSystem, Plant
 from .structure import InfoStructure
 
 
-def _tokens(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
-    toks = []
-    for line in lines:
-        body = line.split("#", 1)[0]
-        toks.extend(body.split())
-    return toks
+class _Tokens:
+    """The whitespace-separated tokens of a file, read front to back.
+
+    Each token keeps the line it came from, so that every error names
+    the file, the line and the token found there (or the end of the
+    file).
+    """
+
+    def __init__(self, path: str):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise DomainError(f"cannot read {path}: {exc}") from exc
+        self.path = path
+        self.toks = [
+            (lineno, tok)
+            for lineno, line in enumerate(lines, 1)
+            for tok in line.split("#", 1)[0].split()
+        ]
+        self.last_line = max(len(lines), 1)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        """The next unread token, or None at the end of the file."""
+        return self.toks[self.pos][1] if self.pos < len(self.toks) else None
+
+    def error(self, what: str) -> DomainError:
+        """A DomainError for `what`, located at the next unread token."""
+        if self.pos < len(self.toks):
+            line, tok = self.toks[self.pos]
+            return DomainError(f"{self.path}:{line}: {what}, found {tok!r}")
+        return DomainError(f"{self.path}:{self.last_line}: {what}, found end of file")
+
+    def sizes(self, header: str) -> list:
+        """One nonnegative integer per name in `header`, e.g. "rows cols"."""
+        out = []
+        for _ in header.split():
+            tok = self.peek()
+            if tok is None or not tok.removeprefix("-").isdecimal():
+                raise self.error(f"expected an integer in the {header!r} header")
+            if tok.startswith("-"):
+                raise self.error(f"negative size in the {header!r} header")
+            out.append(int(tok))
+            self.pos += 1
+        return out
+
+    def entries(self, count: int, what: str) -> list:
+        """The next `count` (line, token) pairs, unconverted."""
+        if len(self.toks) - self.pos < count:
+            self.pos = len(self.toks)
+            raise self.error(f"expected {count} entries for {what}")
+        self.pos += count
+        return self.toks[self.pos - count : self.pos]
+
+    def numbers(self, count: int, what: str) -> np.ndarray:
+        """The next `count` tokens as floats."""
+        return np.array(
+            [_number(f"{self.path}:{line}", tok) for line, tok in self.entries(count, what)]
+        )
+
+    def end(self, count: int) -> None:
+        """Reject tokens left after the `count` entries of the body."""
+        if self.pos < len(self.toks):
+            raise self.error(f"expected end of file after {count} entries")
 
 
-def _number(path: str, tok: str, kind=float):
-    """`kind(tok)`, or a DomainError naming the file and the token."""
+def _number(where: str, tok: str, kind=float):
+    """`kind(tok)`, or a DomainError naming `where` and the token.
+
+    `where` is the file, followed by ``:line`` when the line is known.
+    """
     try:
         return kind(tok)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise DomainError(f"{path}: expected {what}, found {tok!r}") from None
-
-
-def _sizes(path: str, toks) -> list:
-    """Header sizes: nonnegative integers."""
-    sizes = [_number(path, t, int) for t in toks]
-    if any(v < 0 for v in sizes):
-        raise DomainError(f"{path}: negative size in header {' '.join(toks)!r}")
-    return sizes
+        raise DomainError(f"{where}: expected {what}, found {tok!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -57,16 +106,11 @@ def _fmt(x: float) -> str:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    toks = _tokens(path)
-    if len(toks) < 2:
-        raise DomainError(f"{path}: missing 'rows cols' header")
-    rows, cols = _sizes(path, toks[:2])
-    body = toks[2:]
-    if len(body) != rows * cols:
-        raise DomainError(
-            f"{path}: expected {rows * cols} entries, found {len(body)}"
-        )
-    return np.array([_number(path, t) for t in body]).reshape(rows, cols)
+    toks = _Tokens(path)
+    rows, cols = toks.sizes("rows cols")
+    M = toks.numbers(rows * cols, "the matrix").reshape(rows, cols)
+    toks.end(rows * cols)
+    return M
 
 
 def write_matrix(path: str, M) -> None:
@@ -78,16 +122,10 @@ def write_matrix(path: str, M) -> None:
 
 
 def read_fir(path: str) -> FirSystem:
-    toks = _tokens(path)
-    if len(toks) < 3:
-        raise DomainError(f"{path}: missing 'p m T' header")
-    p, m, T = _sizes(path, toks[:3])
-    body = toks[3:]
-    if len(body) != (T + 1) * p * m:
-        raise DomainError(
-            f"{path}: expected {(T + 1) * p * m} entries, found {len(body)}"
-        )
-    taps = np.array([_number(path, t) for t in body]).reshape(T + 1, p, m)
+    toks = _Tokens(path)
+    p, m, T = toks.sizes("p m T")
+    taps = toks.numbers((T + 1) * p * m, "the taps").reshape(T + 1, p, m)
+    toks.end((T + 1) * p * m)
     return FirSystem(taps)
 
 
@@ -101,18 +139,13 @@ def write_fir(path: str, f: FirSystem) -> None:
 
 
 def read_structure(path: str) -> InfoStructure:
-    toks = _tokens(path)
-    if len(toks) < 2:
-        raise DomainError(f"{path}: missing 'rows cols' header")
-    rows, cols = _sizes(path, toks[:2])
-    body = toks[2:]
-    if len(body) != rows * cols:
-        raise DomainError(
-            f"{path}: expected {rows * cols} entries, found {len(body)}"
-        )
+    toks = _Tokens(path)
+    rows, cols = toks.sizes("rows cols")
     vals = [
-        np.inf if t.lower() == "inf" else float(_number(path, t, int)) for t in body
+        np.inf if tok.lower() == "inf" else float(_number(f"{path}:{line}", tok, int))
+        for line, tok in toks.entries(rows * cols, "the delay matrix")
     ]
+    toks.end(rows * cols)
     return InfoStructure(np.array(vals).reshape(rows, cols))
 
 
@@ -135,25 +168,18 @@ def read_plant(path: str) -> tuple:
     The C2 block is optional; callers that need a full :class:`Plant`
     should pass the measured C2 separately when the file omits it.
     """
-    toks = _tokens(path)
+    toks = _Tokens(path)
     blocks = {}
-    pos = 0
-    while pos < len(toks):
-        name = toks[pos]
+    while (name := toks.peek()) is not None:
         if name not in _PLANT_BLOCKS:
-            raise DomainError(f"{path}: unexpected block name {name!r}")
-        header = toks[pos + 1 : pos + 3]
-        if len(header) != 2 or not all(t.isdigit() for t in header):
-            raise DomainError(f"{path}: block {name!r} needs a 'rows cols' header")
-        rows, cols = _sizes(path, header)
-        body = toks[pos + 3 : pos + 3 + rows * cols]
-        if len(body) != rows * cols:
-            raise DomainError(f"{path}: truncated block {name!r}")
-        blocks[name] = np.array([_number(path, t) for t in body]).reshape(rows, cols)
-        pos += 3 + rows * cols
+            raise toks.error(f"expected a block name, one of {', '.join(_PLANT_BLOCKS)}")
+        toks.pos += 1
+        rows, cols = toks.sizes("rows cols")
+        body = toks.numbers(rows * cols, f"block {name!r}")
+        blocks[name] = body.reshape(rows, cols)
     missing = [b for b in ("A", "B1", "B2", "C1", "D12") if b not in blocks]
     if missing:
-        raise DomainError(f"{path}: missing plant blocks {missing}")
+        raise toks.error(f"missing plant blocks {missing}")
     return blocks
 
 

@@ -345,19 +345,19 @@ def _convolve(g: np.ndarray, h: np.ndarray, horizon: int) -> np.ndarray:
     """Taps 0..horizon of the Cauchy product of tap stacks g and h.
 
     Loops over the taps of the shorter stack, each pass one batched
-    product against the whole other stack.
+    (BLAS) matrix product against the whole other stack.
     """
     out = np.zeros((horizon + 1, g.shape[1], h.shape[2]))
     if g.shape[0] <= h.shape[0]:
         for a in range(min(g.shape[0] - 1, horizon) + 1):
             hi = min(h.shape[0] - 1, horizon - a)
             # out[a + b] += g_a @ h_b for every retained b
-            out[a : a + hi + 1] += np.einsum("ij,bjk->bik", g[a], h[: hi + 1])
+            out[a : a + hi + 1] += g[a] @ h[: hi + 1]
     else:
         for b in range(min(h.shape[0] - 1, horizon) + 1):
             hi = min(g.shape[0] - 1, horizon - b)
             # out[a + b] += g_a @ h_b for every retained a
-            out[b : b + hi + 1] += np.einsum("aij,jk->aik", g[: hi + 1], h[b])
+            out[b : b + hi + 1] += g[: hi + 1] @ h[b]
     return out
 
 

@@ -384,8 +384,8 @@ def decompose(
             continue
         _, ordering = chain_transform(ms, comp)
         perm = [comp.index(v) for v in ordering]
-        block = blocks[ci].taps[:, :, perm]
-        G = np.stack([solve_chain(block[k], tol=np.inf) for k in range(block.shape[0])])
+        # solve_chain on every tap at once; the relative check is above
+        G = np.cumsum(blocks[ci].taps[:, :, perm], axis=2)[:, :, :-1]
         orderings.append(ordering)
         gains.append(FirSystem(G))
         if materialize_witnesses:
@@ -451,7 +451,6 @@ def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
             continue
         T, _ = chain_transform(ms, comp)
         rows = list(ms.component_rows(ci))
-        G = dec.chain_gains[ci].taps
-        K[:, :, rows] += np.einsum("kij,jl->kil", G, T[: len(comp) - 1])
+        K[:, :, rows] += dec.chain_gains[ci].taps @ T[: len(comp) - 1]
     out = FirSystem(K)
     return out if isinstance(R, FirSystem) else out.taps[0]

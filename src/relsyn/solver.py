@@ -18,7 +18,8 @@ reducing the matrix-valued problem to the first column of Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -118,16 +119,25 @@ class SynthesisResult:
     `objective` is the H2 value of the matched map, `residual_gradient`
     the optimality measure ||A'(Ax - b)|| of the solved least-squares
     system, and `constraint_violation` the largest indicator row sum over
-    all taps of `q_opt`.  `k_opt` satisfies k_opt C2 = r_opt tap-wise.
+    all taps of `q_opt`.  `r_opt` is the state-feedback map
+    ``r_from_q(yd, q_opt)``, built on first access and then kept.
+    `k_opt` is R's impulse response truncated to ``horizon_q + 2n`` taps
+    (n states), recovered tap by tap: k_opt C2 = r_opt holds on those
+    taps only, not beyond them.
     """
 
     q_opt: FirSystem
     objective: float
     residual_gradient: float
     constraint_violation: float
-    r_opt: StateSpace
     k_opt: FirSystem
     rank_deficient: bool
+    yd: YoulaData = field(repr=False)
+
+    @cached_property
+    def r_opt(self) -> StateSpace:
+        """State-space realization of R = Rnom - F(F(Rnom, Pxu), q_opt)."""
+        return r_from_q(self.yd, self.q_opt)
 
 
 @dataclass(frozen=True)
@@ -430,11 +440,15 @@ def ring_measurement(n: int) -> MeasurementStructure:
     satisfying the one-plus/one-minus and no-redundancy requirements; the
     full cycle of n difference sensors would repeat information.
     """
+    return validate_c2(_ring_c2(n))
+
+
+def _ring_c2(n: int) -> np.ndarray:
     C2 = np.zeros((n - 1, n))
     for i in range(n - 1):
         C2[i, i] = 1.0
         C2[i, i + 1] = -1.0
-    return validate_c2(C2)
+    return C2
 
 
 def ring_plant(n: int, gamma: float) -> Plant:
@@ -457,7 +471,7 @@ def ring_plant(n: int, gamma: float) -> Plant:
         B2=np.eye(n),
         C1=C1,
         D12=D12,
-        C2=ring_measurement(n).c2,
+        C2=_ring_c2(n),
     )
 
 
@@ -468,7 +482,7 @@ def build_ring_problem(
     from .structure import ring_delay_structure
 
     plant = ring_plant(n, gamma)
-    ms = validate_c2(plant.C2)
+    ms = ring_measurement(n)
     yd = make_t_systems(
         build_tilde_plant(plant), laplacian_rnom(ring_adjacency(n)), ms
     )
@@ -691,11 +705,12 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
 
     The state-space realization of R may carry unstable hidden modes, so
     its Markov parameters are ill conditioned at long horizons; the tap
-    recursion works on impulse responses only and stays accurate.
+    recursion works on impulse responses only and stays accurate.  `q`
+    needs no padding: its taps past its own horizon are zeros.
     """
     M = markov(lft(yd.r_nom, yd.plant.pxu()), horizon)
     rnom_fir = markov(yd.r_nom, horizon)
-    return fir_sub(rnom_fir, fir_lft(M, q.padded(horizon), horizon))
+    return fir_sub(rnom_fir, fir_lft(M, q, horizon))
 
 
 def _finalize(
@@ -713,7 +728,6 @@ def _finalize(
         )
     if not membership(q_opt, prob.structure):
         raise DomainError("synthesized parameter violates its structure")
-    r_opt = r_from_q(yd, q_opt)
     horizon_k = _controller_horizon(prob)
     r_fir = recovered_r_fir(yd, q_opt, horizon_k)
     r_fir = _clean_r_fir(r_fir, combined_r_structure(prob.structure, yd), ms)
@@ -723,9 +737,9 @@ def _finalize(
         objective=float(objective),
         residual_gradient=lsres.gradient_norm,
         constraint_violation=violation,
-        r_opt=r_opt,
         k_opt=k_opt,
         rank_deficient=lsres.rank_deficient,
+        yd=yd,
     )
 
 

@@ -1,5 +1,7 @@
 """Round trips through the plain-text file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ class TestPlantFormat:
 
 class TestNonNumericTokens:
     """Every reader turns a token it cannot convert into a DomainError
-    that names the file and the token."""
+    that names the file, the line and the token."""
 
     @pytest.mark.parametrize(
         "reader, text, token",
@@ -104,7 +106,11 @@ class TestNonNumericTokens:
     def test_token_named(self, tmp_path, reader, text, token):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(DomainError, match=f"bad.txt: expected .*'{token}'"):
+        line = next(
+            k for k, body in enumerate(text.splitlines(), 1) if token in body.split()
+        )
+        pattern = rf"bad\.txt:{line}: expected .*'{re.escape(token)}'"
+        with pytest.raises(DomainError, match=pattern):
             reader(path)
 
     @pytest.mark.parametrize("reader", [fileio.read_matrix, fileio.read_structure])
@@ -113,6 +119,58 @@ class TestNonNumericTokens:
         path.write_text("-1 -2\n1 2\n")
         with pytest.raises(DomainError, match="negative size"):
             reader(path)
+
+
+class TestErrorsNameTheLine:
+    """Every reader's error reads ``path:line:`` and names the token it
+    found there, or the end of the file."""
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (
+                fileio.read_matrix,
+                "2 2\n1 2\n3 4\n5\n",
+                ":4: expected end of file after 4 entries, found '5'",
+            ),
+            (
+                fileio.read_matrix,
+                "# no header\n",
+                ":1: expected an integer in the 'rows cols' header, found end of file",
+            ),
+            (
+                fileio.read_fir,
+                "1 1 1\n\n0.5\n",
+                ":3: expected 2 entries for the taps, found end of file",
+            ),
+            (
+                fileio.read_fir,
+                "1 1 -1\n",
+                ":1: negative size in the 'p m T' header, found '-1'",
+            ),
+            (
+                fileio.read_structure,
+                "1 2\n0 inf\n# tail\n7\n",
+                ":4: expected end of file after 2 entries, found '7'",
+            ),
+            (
+                fileio.read_plant,
+                "A\n1 1\n0.5\nQ\n1 1\n2\n",
+                ":4: expected a block name, one of A, B1, B2, C1, D12, C2, found 'Q'",
+            ),
+            (
+                fileio.read_plant,
+                "A\n1 1\n0.5\n",
+                ":3: missing plant blocks ['B1', 'B2', 'C1', 'D12'], found end of file",
+            ),
+        ],
+    )
+    def test_line_and_token_named(self, tmp_path, reader, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}{message}"
 
 
 class TestBundleFormat:

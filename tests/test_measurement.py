@@ -235,6 +235,64 @@ class TestDecompose:
         assert pair_sets[2] == set()
 
 
+def _recover_loops(R, ms):
+    """Chain gains and K tap by tap with solve_chain: the reference for
+    the batched decompose/recover_controller."""
+    gains = {}
+    K = np.zeros((R.horizon + 1, R.n_outputs, ms.n_measurements))
+    for ci, comp in enumerate(ms.components):
+        if len(comp) == 1:
+            continue
+        T, ordering = chain_transform(ms, comp)
+        perm = [comp.index(v) for v in ordering]
+        rows = list(ms.component_rows(ci))
+        block = R.taps[:, :, list(comp)][:, :, perm]
+        gains[ci] = np.stack([solve_chain(block[k]) for k in range(R.horizon + 1)])
+        for k in range(R.horizon + 1):
+            K[k][:, rows] += gains[ci][k] @ T[: len(comp) - 1]
+    return gains, K
+
+
+class TestBatchedRecovery:
+    STRUCTURES = {"two_pairs": TWO_PAIRS, "five_state": FIVE_STATE, "all_pairs": ALL_PAIRS_4}
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_matches_per_tap_chain_solves(self, rng, name):
+        ms = validate_c2(self.STRUCTURES[name])
+        for l, horizon in ((1, 0), (2, 5), (3, 12)):
+            R = rand_relative_fir(rng, ms, l, horizon)
+            gains, K_ref = _recover_loops(R, ms)
+            dec = decompose(R, ms)
+            for ci, G in gains.items():
+                # the same cumulative sums in the same order
+                assert np.array_equal(dec.chain_gains[ci].taps, G)
+            K = recover_controller(R, ms).taps
+            # one matrix product per tap, batched or not: roundoff only
+            tol = 64 * np.finfo(float).eps * max(np.abs(K_ref).max(), 1.0)
+            assert np.abs(K - K_ref).max() <= tol
+
+    @pytest.mark.parametrize(
+        "name, bad, expected",
+        [
+            ("two_pairs", [(1, 3)], (1, 3)),
+            ("two_pairs", [(1, 1), (0, 4)], (0, 4)),
+            ("five_state", [(1, 2), (1, 5)], (1, 2)),
+            ("five_state", [(2, 0)], (2, 0)),
+            ("all_pairs", [(0, 6), (0, 9)], (0, 6)),
+        ],
+    )
+    def test_non_relative_tap_named(self, rng, name, bad, expected):
+        # the first bad component, and its first bad tap, is reported
+        ms = validate_c2(self.STRUCTURES[name])
+        taps = np.array(rand_relative_fir(rng, ms, 2, 10).taps)
+        for ci, k in bad:
+            taps[k, 1, ms.components[ci][0]] += 1e-6
+        for fn in (decompose, recover_controller):
+            with pytest.raises(DecompositionError) as err:
+                fn(FirSystem(taps), ms)
+            assert (err.value.component, err.value.tap) == expected
+
+
 class TestStructuralInvariants:
     def test_indicator_partition(self, rng):
         for _ in range(20):

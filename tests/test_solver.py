@@ -254,6 +254,43 @@ class TestRingCirculant:
         assert np.abs(kc2.taps - r_taps).max() <= 1e-8
 
 
+class TestFinalize:
+    def test_r_opt_built_on_first_access(self, monkeypatch):
+        from relsyn import solver, youla
+
+        original = youla.r_from_q
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        # the name solver binds and the module attribute
+        monkeypatch.setattr(solver, "r_from_q", spy)
+        monkeypatch.setattr(youla, "r_from_q", spy)
+        ring = solve_ring_circulant(6, 0.4, 8)
+        prob = build_ring_problem(4, 0.3, horizon_q=6)
+        general = solve(prob)
+        assert calls == []
+        for res, yd in ((ring, build_ring_problem(6, 0.4, 8).yd), (general, prob.yd)):
+            r_opt = res.r_opt
+            ref = original(yd, res.q_opt)
+            for name in ("A", "B", "C", "D"):
+                assert np.array_equal(getattr(r_opt, name), getattr(ref, name))
+            assert res.r_opt is r_opt
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n, gamma, horizon_q", [(5, 0.4, 8), (8, 0.2, 32)])
+    def test_recovered_r_fir_needs_no_padding(self, n, gamma, horizon_q):
+        from relsyn.solver import _controller_horizon, recovered_r_fir
+
+        prob = build_ring_problem(n, gamma, horizon_q)
+        q = solve_ring_circulant(n, gamma, horizon_q).q_opt
+        horizon = _controller_horizon(prob)
+        padded = recovered_r_fir(prob.yd, q.padded(horizon), horizon)
+        assert np.array_equal(recovered_r_fir(prob.yd, q, horizon).taps, padded.taps)
+
+
 class TestInvariants:
     def test_optimality_certificate(self):
         # perturbing any single free coefficient never lowers the exactly
