@@ -318,6 +318,8 @@ def markov(sys: StateSpace, horizon: int = DEFAULT_HORIZON) -> FirSystem:
     p, m = sys.n_outputs, sys.n_inputs
     taps = np.zeros((horizon + 1, p, m))
     taps[0] = sys.D
+    if sys.n_states == 0:  # a static gain: every delayed tap is zero
+        return FirSystem(taps)
     X = sys.B
     for k in range(1, horizon + 1):
         taps[k] = sys.C @ X

@@ -353,7 +353,15 @@ def decompose(
     some block has a nonzero row sum; a single-vertex component forces an
     identically zero block.
     """
-    fir = _as_fir(R)
+    return _decompose(_as_fir(R), ms, materialize_witnesses, tol)[0]
+
+
+def _decompose(
+    fir: FirSystem, ms: MeasurementStructure, materialize_witnesses: bool, tol: float
+) -> tuple:
+    """:func:`decompose`, also handing over each component's chain
+    transform (None for a single vertex) so that recovery need not
+    rebuild it."""
     if fir.n_inputs != ms.n_states:
         raise DimensionError(
             f"map has {fir.n_inputs} columns, structure has {ms.n_states} states"
@@ -374,33 +382,37 @@ def decompose(
 
     orderings = []
     gains = []
+    transforms = []
     witnesses = [] if materialize_witnesses else None
     for ci, comp in enumerate(ms.components):
         if len(comp) == 1:
             orderings.append((comp[0],))
             gains.append(FirSystem.zero(fir.n_outputs, 0, fir.horizon))
+            transforms.append(None)
             if materialize_witnesses:
                 witnesses.append({})
             continue
-        _, ordering = chain_transform(ms, comp)
+        T, ordering = chain_transform(ms, comp)
         perm = [comp.index(v) for v in ordering]
         # solve_chain on every tap at once; the relative check is above
         G = np.cumsum(blocks[ci].taps[:, :, perm], axis=2)[:, :, :-1]
         orderings.append(ordering)
         gains.append(FirSystem(G))
+        transforms.append(T)
         if materialize_witnesses:
             w = {}
             for k in range(len(ordering) - 1):
                 pair = (ordering[k], ordering[k + 1])
                 w[pair] = FirSystem(G[:, :, k : k + 1].copy())
             witnesses.append(w)
-    return RelativeDecomposition(
+    dec = RelativeDecomposition(
         structure=ms,
         blocks=tuple(blocks),
         orderings=tuple(orderings),
         chain_gains=tuple(gains),
         witnesses=tuple(witnesses) if materialize_witnesses else None,
     )
+    return dec, transforms
 
 
 def recover_matrix(F, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> Matrix:
@@ -444,12 +456,11 @@ def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
         Dk = recover_matrix(R.D, ms, tol)
         return StateSpace(R.A, Bk, R.C, Dk)
     fir = _as_fir(R)
-    dec = decompose(fir, ms, tol=tol)
+    dec, transforms = _decompose(fir, ms, False, tol)
     K = np.zeros((fir.horizon + 1, fir.n_outputs, ms.n_measurements))
-    for ci, comp in enumerate(ms.components):
-        if len(comp) == 1:
+    for ci, (comp, T) in enumerate(zip(ms.components, transforms)):
+        if T is None:
             continue
-        T, _ = chain_transform(ms, comp)
         rows = list(ms.component_rows(ci))
         K[:, :, rows] += dec.chain_gains[ci].taps @ T[: len(comp) - 1]
     out = FirSystem(K)

@@ -1,19 +1,22 @@
 """Least-squares solution of the structured model-matching program.
 
 The objective ||T1 + T2 Q T3|| in the H2 norm is affine in the FIR
-coefficients of the free parameter Q.  After eliminating the compiled
-equality constraints (structural zeros and per-component zero row sums)
-it is a linear least-squares problem min ||A x - b|| over infinitely many
-rows, whose every column is one basis response, or the difference of two,
-delayed by a whole number of taps.  One kernel serves both solve paths:
-A'A, A'b and ||b||^2 are lags of the joint system [basis | target], read
-exactly off its observability Gramian (one Stein solve, no truncation),
-and the small Gram system is solved by Cholesky, falling back to QR with
-column pivoting when G is singular to working precision.  The
-general path takes as basis the pair responses T2 e_i e_j' T3 of every
-entry of Q; the circulant path handles the ring-consensus family by
-reducing the matrix-valued problem to the first column of Q.
-"""
+coefficients of the free parameter Q.  After eliminating the equality
+constraints (structural zeros and per-component zero row sums) it is a
+linear least-squares problem min ||A x - b|| over infinitely many rows,
+whose every column is one input of a basis system delayed by a whole
+number of taps: a difference of two responses is folded into the
+basis's input matrix.  One kernel serves both solve paths: A'A, A'b and
+||b||^2 are lags of the joint system [basis | target], read exactly off
+its observability Gramian (one Stein solve, no truncation), G is
+gathered from them in one indexing step, and the Gram system is solved
+by Cholesky, falling back to QR with column pivoting when G is singular
+to working precision.  The general path takes as basis the pair
+responses T2 e_i e_j' T3 of every entry of Q, with Kronecker identities
+sized by the inputs of T2 and T3; the circulant path handles
+the ring-consensus family by reducing the matrix-valued problem to the
+first column of Q, whose lift onto the free parameters is a delay per
+column rather than states of the basis."""
 
 from __future__ import annotations
 
@@ -43,7 +46,6 @@ from .measurement import (
 )
 from .structure import (
     InfoStructure,
-    compile_constraints,
     membership,
     qi_certificate,
     transfer_pattern,
@@ -186,58 +188,36 @@ def least_squares(A, b) -> LstsqResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FreeBasis:
-    """Reduced coefficient basis after substituting the equality rows.
+def _free_columns(structure: InfoStructure, indicators, horizon: int) -> tuple:
+    """Free coefficients of Q left after substituting the equality rows.
 
-    Each free variable is a (tap, row, col) triple paired with the
-    dependent column of its zero-sum group; forced variables are pinned at
-    zero and never enter the least-squares system.
+    For each row i and component, the column with the smallest
+    min_delay[i, .] is the dependent entry of the zero-sum group at every
+    tap.  It is live whenever any other column of the group is, so it
+    absorbs minus the sum of the free entries, and the forced zeros never
+    enter.  Returns (pairs, inputs, delays): row p of `pairs` is a free
+    pair (i, j, dep), and column a of the least-squares system is the
+    coefficient of pair inputs[a] at tap delays[a], for every tap from
+    min_delay[i, j] to `horizon`.
     """
-
-    free: tuple  # of ((k, i, j), dependent_j)
-    groups: tuple  # of (k, i, tuple_of_js) with len >= 2
-
-
-def _reduce_constraints(
-    structure: InfoStructure, indicators: np.ndarray, horizon: int
-) -> _FreeBasis:
-    cs = compile_constraints(structure, indicators, horizon)
-    forced = set()
-    sum_groups = []
-    for row in cs.constraints:
-        if len(row) == 1:
-            forced.add(cs.var_of(row[0][0]))
-        else:
-            sum_groups.append(tuple(cs.var_of(idx) for idx, _ in row))
-    free = []
-    groups = []
-    for group in sum_groups:
-        live = [v for v in group if v not in forced]
-        if not live:
-            continue
-        if len(live) == 1:
-            forced.add(live[0])
-            continue
-        k, i, _ = live[0]
-        js = tuple(j for (_, _, j) in live)
-        groups.append((k, i, js))
-        for (_, _, j) in live[:-1]:
-            free.append(((k, i, j), js[-1]))
-    return _FreeBasis(free=tuple(free), groups=tuple(groups))
+    md = structure.min_delay
+    others = np.arange(md.shape[1])
+    pairs = [np.zeros((0, 3), dtype=int)]
+    for ind in np.atleast_2d(indicators) != 0:
+        dep = np.argmin(np.where(ind, md, np.inf), axis=1)
+        i, j = np.nonzero(ind & (md <= horizon) & (others != dep[:, None]))
+        pairs.append(np.column_stack([i, j, dep[i]]))
+    pairs = np.concatenate(pairs)
+    start = md[pairs[:, 0], pairs[:, 1]]
+    delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= start)
+    return pairs, inputs, delays
 
 
-def _assemble_q(
-    basis: _FreeBasis, x: np.ndarray, horizon: int, rows: int, cols: int
-) -> FirSystem:
+def _assemble_q(pairs, inputs, delays, x, horizon: int, rows: int, cols: int) -> FirSystem:
     taps = np.zeros((horizon + 1, rows, cols))
-    dep_acc: dict = {}
-    for ((k, i, j), dep_j), val in zip(basis.free, x):
-        taps[k, i, j] = val
-        key = (k, i, dep_j)
-        dep_acc[key] = dep_acc.get(key, 0.0) - val
-    for (k, i, j), val in dep_acc.items():
-        taps[k, i, j] = val
+    i, j, dep = pairs[inputs].T
+    np.add.at(taps, (delays, i, j), x)
+    np.add.at(taps, (delays, i, dep), -x)
     return FirSystem(taps)
 
 
@@ -246,23 +226,22 @@ def _assemble_q(
 # ---------------------------------------------------------------------------
 
 
-def _gram_solve(
-    basis: StateSpace, target: StateSpace, terms, weights, delays
-) -> LstsqResult:
+def _gram_solve(basis: StateSpace, target: StateSpace, inputs, delays) -> LstsqResult:
     """Minimize ||A x + target|| over columns of delayed basis responses.
 
     `basis` has one input per basis response and `target` a single
-    input; both share the outputs.  Column a of A is the sum over s of
-    weights[a, s] times basis response terms[a, s] delayed by delays[a]
-    taps, over the whole infinite horizon.  A is never formed: A'A, A'b
-    and ||b||^2 (b = -target) are entries of the lag table of
-    :func:`_lags`, gathered by :func:`_gram_system`, and the Gram system
-    is solved by :func:`_solve_gram`.  The result carries ||A x - b|| as
-    `residual` and ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
+    input; both share the outputs.  Column a of A is basis response
+    inputs[a] delayed by delays[a] taps, over the whole infinite horizon;
+    the solve paths fold any difference of responses into the basis's
+    input matrix.  A is never formed: A'A, A'b and ||b||^2 (b = -target)
+    are entries of the lag table of :func:`_lags`, gathered by
+    :func:`_gram_system`, and the Gram system is solved by
+    :func:`_solve_gram`.  The result carries ||A x - b|| as `residual`
+    and ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
     """
     K = int(delays.max()) if delays.size else 0
     L = _lags(basis, target, K)
-    G, c = _gram_system(L, terms, weights, delays)
+    G, c = _gram_system(L, inputs, delays)
     sol = _solve_gram(G, c)
     x = sol.x
     tgt = L.shape[1] - 1
@@ -276,31 +255,20 @@ def _gram_solve(
     )
 
 
-def _gram_system(L: np.ndarray, terms, weights, delays):
+def _gram_system(L: np.ndarray, inputs, delays):
     """G = A'A and A'b of :func:`_gram_solve` from the lag table L.
 
-    Block (k1, k2) of the block-Toeplitz Gram T of the whole (delay,
-    input) lattice is L(k2 - k1) on and above the block diagonal and its
-    transpose below: entry (k1 m + e1, k2 m + e2) is the inner product of
-    basis response e1 delayed by k1 taps with e2 delayed by k2.  Column a
-    of A sits at lattice points delays[a] m + terms[a, s], so G is T
-    gathered by rows and then by columns, weighted by `weights`.
+    Entry (a, b) of G is the inner product of response e_a delayed by k_a
+    taps with e_b delayed by k_b: L(k_b - k_a)[e_a, e_b], with
+    L(-d) = L(d)'.  Stacking S = [L(K)' ... L(1)' L(0) ... L(K)] makes it
+    one gather, S[K + k_b - k_a, e_a, e_b].
     """
     K = L.shape[0] - 1
     m = tgt = L.shape[1] - 1
-    T = np.zeros((K + 1, m, K + 1, m))
-    for d in range(K + 1):
-        k = np.arange(K + 1 - d)
-        T[k, :, k + d, :] = L[d, :m, :m]
-        if d:
-            T[k + d, :, k, :] = L[d, :m, :m].T
-    T = T.reshape((K + 1) * m, (K + 1) * m)
-    idx = delays[:, None] * m + terms
-    rows = sum(weights[:, s, None] * T[idx[:, s]] for s in range(terms.shape[1]))
-    G = sum(rows[:, idx[:, t]] * weights[:, t] for t in range(terms.shape[1]))
-    # A'b[a] = -sum over s of weights[a, s] L(k_a)[target, terms[a, s]]
-    c = -(weights * L[delays[:, None], tgt, terms]).sum(axis=1)
-    return G, c
+    S = np.concatenate([L[:0:-1, :m, :m].transpose(0, 2, 1), L[:, :m, :m]]).reshape(-1)
+    rows = ((K - delays) * m + inputs) * m
+    cols = delays * m * m + inputs
+    return S[rows[:, None] + cols], -L[delays, tgt, inputs]
 
 
 def _solve_gram(G: np.ndarray, c: np.ndarray) -> LstsqResult:
@@ -383,12 +351,11 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     l = yd.plant.n_ctrl
     n = yd.plant.n_states
 
-    basis = _reduce_constraints(prob.structure, prob.ms.indicators, T_Q)
-    terms = np.array(
-        [[j * l + i, dep * l + i] for (_, i, j), dep in basis.free], dtype=int
-    ).reshape(-1, 2)
-    weights = np.tile([1.0, -1.0], (len(basis.free), 1))
-    delays = np.array([k for (k, _, _), _ in basis.free], dtype=int)
+    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
+    # input p of the basis: pair response (i, j) minus pair response (i, dep)
+    E = np.zeros((n * l, len(pairs)))
+    E[pairs[:, 1] * l + pairs[:, 0], np.arange(len(pairs))] = 1.0
+    E[pairs[:, 2] * l + pairs[:, 0], np.arange(len(pairs))] = -1.0
     t1 = yd.t1_stable
     eye_w = np.eye(t1.n_inputs)
     # vec(T1) = (I (x) T1) vec(I): one input feeding every column of T1
@@ -398,25 +365,33 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
         np.kron(eye_w, t1.C),
         t1.D.T.reshape(-1, 1),
     )
-    lsres = _gram_solve(_pair_responses(yd), target, terms, weights, delays)
+    basis = _fold_inputs(_pair_responses(yd), E)
+    lsres = _gram_solve(basis, target, inputs, delays)
 
-    q_opt = _assemble_q(basis, lsres.x, T_Q, l, n)
+    q_opt = _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n)
     return _finalize(prob, q_opt, lsres, objective=lsres.residual)
 
 
 def _pair_responses(yd: YoulaData) -> StateSpace:
     """T2 e_i e_j' T3 for every entry (i, j) of Q, as one system.
 
-    vec(T2 Q T3) = (T3' (x) T2) vec(Q), realized as the series connection
-    (T3' (x) I) (I (x) T2): output w * nz + z, input j * l + i is entry
-    (z, w) of T2 e_i e_j' T3.
+    vec(T2 Q T3) = (I (x) T2) (T3' (x) I) vec(Q), realized as that series
+    connection: output w * nz + z, input j * l + i is entry (z, w) of
+    T2 e_i e_j' T3.  The Kronecker identities are sized by the inputs of
+    T2 (l) and T3 (nw), not by T2's nz outputs and T3's n outputs, so the
+    system has l times T3's states plus nw times T2's.
     """
     t2, t3 = yd.t2_stable, yd.t3_projected
-    eye_z = np.eye(t2.n_outputs)
-    eye_n = np.eye(t3.n_outputs)
-    left = StateSpace(*(np.kron(M.T, eye_z) for M in (t3.A, t3.C, t3.B, t3.D)))
-    right = StateSpace(*(np.kron(eye_n, M) for M in (t2.A, t2.B, t2.C, t2.D)))
-    return series(left, right)
+    eye_l = np.eye(t2.n_inputs)
+    eye_w = np.eye(t3.n_inputs)
+    first = StateSpace(*(np.kron(M.T, eye_l) for M in (t3.A, t3.C, t3.B, t3.D)))
+    then = StateSpace(*(np.kron(eye_w, M) for M in (t2.A, t2.B, t2.C, t2.D)))
+    return series(then, first)
+
+
+def _fold_inputs(sys: StateSpace, E: np.ndarray) -> StateSpace:
+    """sys(z) E: the inputs of `sys` driven through the static map E."""
+    return StateSpace(sys.A, sys.B @ E, sys.C, sys.D @ E)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +500,21 @@ class CirculantReduction:
     """Single-column form of a circulant synthesis problem.
 
     The objective satisfies ||T1 + T2 Q T3||^2 = scale * ||target +
-    basis q||^2 exactly, where `target` is the first column of T1, input
-    j of `basis` is the response column T2 T3 (M e_j), and q stacks the
-    free scalar FIR parameters with per-parameter horizons
-    `param_horizons`.  Both are state-space systems, so the H2 norm is
-    taken over the whole infinite horizon.
+    sum over j, b of q_j[b] z^-(param_delays[j] + b) basis_j||^2 exactly.
+    `target` is the first column of T1, and input j of `basis` is the
+    response T2 T3 (e_(n-1-j) - e_0) of the free circulant parameter for
+    offset j + 1, whose lift column (see :func:`eliminate_q0`) is that
+    direction delayed by its ring distance `param_delays[j]`.  The lift
+    thus lives in the column delays, not in the basis's states.
+    Parameter j has taps 0..`param_horizons[j]`.  Both systems are state
+    space, so the H2 norm is taken over the whole infinite horizon.
     """
 
     n: int
     scale: float
     target: StateSpace
     basis: StateSpace
-    lift: FirSystem
+    param_delays: tuple
     param_horizons: tuple
 
 
@@ -565,18 +543,20 @@ def circulant_reduce(prob: SynthesisProblem) -> CirculantReduction:
     if not _is_circulant(prob.structure.min_delay):
         raise StructureViolationError("structure is not circulant")
 
-    lift = eliminate_q0(n)
+    offsets = np.arange(1, n)
+    directions = np.zeros((n, n - 1))
+    directions[n - offsets, offsets - 1] = 1.0
+    directions[0] = -1.0
+    dist = np.minimum(offsets, n - offsets)
     first = StateSpace.static_gain(np.eye(plant.n_dist)[:, :1])
     return CirculantReduction(
         n=n,
         scale=float(n),
         target=series(yd.t1_stable, first),
-        basis=series(yd.t2_stable, series(yd.t3_projected, lift.to_statespace())),
-        lift=lift,
+        basis=_fold_inputs(series(yd.t2_stable, yd.t3_projected), directions),
+        param_delays=tuple(int(d) for d in dist),
         # -1: the parameter's ring distance exceeds horizon_q, so it has no taps
-        param_horizons=tuple(
-            max(prob.horizon_q - min(j, n - j), -1) for j in range(1, n)
-        ),
+        param_horizons=tuple(int(h) for h in np.maximum(prob.horizon_q - dist, -1)),
     )
 
 
@@ -588,20 +568,19 @@ def solve_ring_circulant(
     Builds the ring problem, reduces the objective to the first column of
     the circulant parameter, solves the unconstrained least squares over
     the n-1 scalar FIR parameters through the Gram kernel (column (j, b)
-    is basis response j delayed by b taps), and expands the optimal
-    column back to the full parameter before recovering the
-    output-feedback controller.
+    is basis response j delayed by its ring distance plus b taps), and
+    expands the optimal column back to the full parameter before
+    recovering the output-feedback controller.
     """
     prob = build_ring_problem(n, gamma, horizon_q)
     red = circulant_reduce(prob)
-    index = [(j, b) for j, hj in enumerate(red.param_horizons) for b in range(hj + 1)]
-    terms = np.array([j for j, _ in index], dtype=int).reshape(-1, 1)
-    delays = np.array([b for _, b in index], dtype=int)
-    lsres = _gram_solve(red.basis, red.target, terms, np.ones(terms.shape), delays)
+    dist = np.array(red.param_delays)
+    delays, inputs = np.nonzero(np.arange(horizon_q + 1)[:, None] >= dist)
+    lsres = _gram_solve(red.basis, red.target, inputs, delays)
 
-    params = [np.zeros(h + 1) for h in red.param_horizons]
-    for (j, b), val in zip(index, lsres.x):
-        params[j][b] = val
+    params = np.zeros((n - 1, horizon_q + 1))
+    params[inputs, delays - dist[inputs]] = lsres.x
+    params = [p[: h + 1] for p, h in zip(params, red.param_horizons)]
     q_opt = _expand_circulant(red, params, horizon_q)
     objective = math.sqrt(red.scale) * lsres.residual
     return _finalize(prob, q_opt, lsres, objective=objective)
@@ -610,18 +589,14 @@ def solve_ring_circulant(
 def _expand_circulant(
     red: CirculantReduction, params: list, horizon_q: int
 ) -> FirSystem:
-    """First column via the lift map, then the full circulant parameter."""
+    """First column from the lift's directions and delays, then the full
+    circulant parameter."""
     n = red.n
     column = np.zeros((horizon_q + 1, n))
-    for j, pj in enumerate(params, start=1):
-        lcol = red.lift.taps[:, :, j - 1]  # (lift_horizon+1, n)
-        for d in range(lcol.shape[0]):
-            support = np.flatnonzero(lcol[d])
-            if support.size == 0:
-                continue
-            hi = min(len(pj), horizon_q + 1 - d)
-            for i in support:
-                column[d : d + hi, i] += lcol[d, i] * pj[:hi]
+    for j, (pj, d) in enumerate(zip(params, red.param_delays), start=1):
+        hi = min(len(pj), horizon_q + 1 - d)
+        column[d : d + hi, 0] -= pj[:hi]
+        column[d : d + hi, n - j] += pj[:hi]
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     taps = column[:, idx]
     return FirSystem(taps)

@@ -39,7 +39,7 @@ from relsyn.bench import (
     simulate_closed_loop,
     verify_synthesis,
 )
-from relsyn.solver import _reduce_constraints
+from relsyn.solver import _free_columns
 from conftest import (
     ORACLE_HORIZON,
     rand_connected_c2,
@@ -185,9 +185,9 @@ def test_criterion_6_solver_oracle():
     F1 = markov(yd.t1_stable, T_J)
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
-    basis = _reduce_constraints(prob.structure, prob.ms.indicators, 8)
+    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
     cols = []
-    for (k, i, j), dep in basis.free:
+    for k, (i, j, dep) in zip(delays, pairs[inputs]):
         d = np.zeros((9, 3, 3))
         d[k, i, j] = 1.0
         d[k, i, dep] = -1.0

@@ -19,6 +19,8 @@ from relsyn import (
     FirSystem,
     build_ring_problem,
     circulant_reduce,
+    compile_constraints,
+    eliminate_q0,
     fir_compose,
     least_squares,
     markov,
@@ -28,8 +30,9 @@ from relsyn import (
 from relsyn.solver import (
     _assemble_q,
     _expand_circulant,
+    _free_columns,
     _lags,
-    _reduce_constraints,
+    _pair_responses,
     _solve_gram,
 )
 
@@ -43,7 +46,7 @@ def dense_general(prob):
     l, n = yd.plant.n_ctrl, yd.plant.n_states
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
-    basis = _reduce_constraints(prob.structure, prob.ms.indicators, T_Q)
+    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
     pair = {}
     for i in range(l):
         for j in range(n):
@@ -54,13 +57,13 @@ def dense_general(prob):
     # column (k, i, j): the pair response minus its dependent's, k taps late
     block = F2.n_outputs * F3.n_inputs
     cols = []
-    for (k, i, j), dep in basis.free:
+    for k, (i, j, dep) in zip(delays, pairs[inputs]):
         col = np.zeros_like(pair[i, j])
         col[k * block :] = (pair[i, j] - pair[i, dep])[: col.size - k * block]
         cols.append(col)
     A = np.column_stack(cols)
     lsres = least_squares(A, -markov(yd.t1_stable, T_J).taps.reshape(-1))
-    return lsres.residual, _assemble_q(basis, lsres.x, T_Q, l, n).taps
+    return lsres.residual, _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n).taps
 
 
 def dense_circulant(n, gamma, horizon_q):
@@ -70,9 +73,10 @@ def dense_circulant(n, gamma, horizon_q):
     yd, T_J = prob.yd, ORACLE_HORIZON
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
+    lift = eliminate_q0(n)  # the lift as an FIR map, not as column delays
     cols, index = [], []
     for j, hj in enumerate(red.param_horizons):
-        col = FirSystem(red.lift.taps[:, :, j : j + 1])
+        col = FirSystem(lift.taps[:, :, j : j + 1])
         resp = fir_compose(F2, fir_compose(F3, col, horizon=T_J), horizon=T_J)
         flat = resp.taps.reshape(T_J + 1, -1)
         for b in range(hj + 1):
@@ -139,36 +143,28 @@ def test_gram_system_is_square(monkeypatch):
     assert all(rows == cols for rows, cols in shapes)
 
 
-def reference_gram(L, terms, weights, delays):
-    """G = A'A and A'b entry by entry: for every pair of terms, columns
-    a, b with delays k_a <= k_b read L(k_b - k_a)[e_a, e_b]."""
+def reference_gram(L, inputs, delays):
+    """G = A'A and A'b entry by entry: columns a, b with delays
+    k_a <= k_b read L(k_b - k_a)[e_a, e_b]."""
     tgt = L.shape[1] - 1
     ka, kb = delays[:, None], delays[None, :]
-    lags = np.abs(ka - kb)
+    ea, eb = inputs[:, None], inputs[None, :]
     a_first = ka <= kb
-    G = np.zeros((delays.size, delays.size))
-    c = np.zeros(delays.size)
-    for s in range(terms.shape[1]):
-        ea = terms[:, s]
-        c -= weights[:, s] * L[delays, tgt, ea]
-        for t in range(terms.shape[1]):
-            eb = terms[:, t]
-            e1 = np.where(a_first, ea[:, None], eb[None, :])
-            e2 = np.where(a_first, eb[None, :], ea[:, None])
-            G += np.outer(weights[:, s], weights[:, t]) * L[lags, e1, e2]
-    return G, c
+    e1 = np.where(a_first, ea, eb)
+    e2 = np.where(a_first, eb, ea)
+    return L[np.abs(ka - kb), e1, e2], -L[delays, tgt, inputs]
 
 
 def _gram_calls(monkeypatch, run):
-    """(L, terms, weights, delays, G, c) of every Gram assembly in run()."""
+    """(L, inputs, delays, G, c) of every Gram assembly in run()."""
     import relsyn.solver as solver
 
     calls = []
     original = solver._gram_system
 
-    def spy(L, terms, weights, delays):
-        G, c = original(L, terms, weights, delays)
-        calls.append((L, terms, weights, delays, G, c))
+    def spy(L, inputs, delays):
+        G, c = original(L, inputs, delays)
+        calls.append((L, inputs, delays, G, c))
         return G, c
 
     monkeypatch.setattr(solver, "_gram_system", spy)
@@ -185,11 +181,62 @@ def test_gram_assembly_matches_reference(monkeypatch, rng, case):
         n = int(case[4:])
         calls = _gram_calls(monkeypatch, lambda: solve_ring_circulant(n, 0.4, 32))
     assert len(calls) == 1
-    L, terms, weights, delays, G, c = calls[0]
+    L, inputs, delays, G, c = calls[0]
     assert len(set(delays.tolist())) > 1  # off-diagonal blocks are exercised
-    G_ref, c_ref = reference_gram(L, terms, weights, delays)
+    G_ref, c_ref = reference_gram(L, inputs, delays)
     assert np.abs(G - G_ref).max() <= 1e-13 * np.abs(G_ref).max()
     assert np.abs(c - c_ref).max() <= 1e-13 * np.abs(c_ref).max()
+
+
+def test_pair_responses_match_fir_composition(rng):
+    prob = consensus_problem(rand_connected_c2(rng, 4, extra_edges=1), 0.3, 4)
+    yd, T = prob.yd, 12
+    l, n = yd.plant.n_ctrl, yd.plant.n_states
+    F2, F3 = markov(yd.t2_stable, T), markov(yd.t3_projected, T)
+    H = markov(_pair_responses(yd), T).taps
+    nz, nw = F2.n_outputs, F3.n_inputs
+    for i in range(l):
+        for j in range(n):
+            unit = np.zeros((1, l, n))
+            unit[0, i, j] = 1.0
+            ref = fir_compose(fir_compose(F2, FirSystem(unit), horizon=T), F3, horizon=T)
+            # output w * nz + z is entry (z, w): vec in column-major order
+            got = H[:, :, j * l + i].reshape(T + 1, nw, nz).transpose(0, 2, 1)
+            assert np.abs(got - ref.taps).max() <= 1e-12 * max(np.abs(ref.taps).max(), 1.0)
+
+
+def test_general_solution_satisfies_compiled_constraints(rng):
+    # the public compiler is an oracle independent of the solver's masks
+    prob = consensus_problem(rand_connected_c2(rng, 6, extra_edges=2), 0.4, 6)
+    res = solve(prob)
+    cs = compile_constraints(prob.structure, prob.ms.indicators, prob.horizon_q)
+    assert cs.satisfied_by(res.q_opt, tol=1e-10)
+    assert np.abs(res.q_opt.taps).max() > 0.0
+
+
+def test_stein_system_keeps_its_size(monkeypatch, rng):
+    # the general basis realizes (I (x) T2)(T3' (x) I) and the ring basis
+    # T2 T3 alone: neither the 3n(n-1) order nor the lift enters the solve
+    import relsyn.solver as solver
+
+    sizes = []
+    original = solver._lags
+
+    def spy(basis, target, K):
+        sizes.append(basis.n_states)
+        return original(basis, target, K)
+
+    monkeypatch.setattr(solver, "_lags", spy)
+    prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
+    solve(prob)
+    ring = build_ring_problem(12, 0.4, 32)
+    solve_ring_circulant(12, 0.4, 32)
+    t2, t3 = prob.yd.t2_stable, prob.yd.t3_projected
+    r2, r3 = ring.yd.t2_stable, ring.yd.t3_projected
+    assert sizes == [
+        t3.n_states * t2.n_inputs + t3.n_inputs * t2.n_states,
+        r2.n_states + r3.n_states,
+    ]
 
 
 class TestSolveGram:

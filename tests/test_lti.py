@@ -105,6 +105,13 @@ class TestMarkov:
         with pytest.raises(DomainError):
             markov(sys, -1)
 
+    def test_static_gain_has_only_tap_zero(self, rng):
+        D = rng.normal(size=(3, 2))
+        f = markov(StateSpace.static_gain(D), 6)
+        ref = np.zeros((7, 3, 2))
+        ref[0] = D
+        assert np.array_equal(f.taps, ref)
+
 
 class TestFirCompose:
     def test_delay_composition(self):

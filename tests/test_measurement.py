@@ -271,6 +271,21 @@ class TestBatchedRecovery:
             tol = 64 * np.finfo(float).eps * max(np.abs(K_ref).max(), 1.0)
             assert np.abs(K - K_ref).max() <= tol
 
+    def test_chain_transform_built_once_per_component(self, rng, monkeypatch):
+        import relsyn.measurement as measurement
+
+        ms = validate_c2(FIVE_STATE)
+        calls = []
+        original = measurement.chain_transform
+
+        def spy(ms_, comp):
+            calls.append(comp)
+            return original(ms_, comp)
+
+        monkeypatch.setattr(measurement, "chain_transform", spy)
+        recover_controller(rand_relative_fir(rng, ms, 2, 4), ms)
+        assert sorted(calls) == sorted(c for c in ms.components if len(c) > 1)
+
     @pytest.mark.parametrize(
         "name, bad, expected",
         [
