@@ -38,6 +38,10 @@ OVERFLOW_GUARD = 1e9
 #: Steps per chunk of noise draws and output products in the simulation.
 _CHUNK_STEPS = 4096
 
+#: Controller taps up to which the simulation applies the FIR stage as a
+#: direct sum of tap products instead of by overlap-save.
+_DIRECT_TAPS = 8
+
 #: Entries of the simulation's lift [P Gamma] (32 MB) above which blocks
 #: get shorter than the controller's T + 1 taps.
 _LIFT_DOUBLES = 1 << 22
@@ -295,7 +299,10 @@ def simulate_closed_loop(
     chunked draws give the same stream as per-step ones.  Noise, outputs
     and the overflow guard go in chunks of about `_CHUNK_STEPS` steps;
     the run stops at the first state above `OVERFLOW_GUARD` or not
-    finite, and stores that state.
+    finite, and stores that state.  The controller output
+    u[t] = sum_k F_k x[t-k] is one FIR filter over the chunk's states:
+    by overlap-save (`_overlap_save`) for more than `_DIRECT_TAPS` taps,
+    as a sum of tap products otherwise.
     """
     if steps < 1:
         raise DomainError("steps must be positive")
@@ -322,26 +329,37 @@ def simulate_closed_loop(
     u = np.zeros((steps, plant.n_ctrl))
     z = np.zeros((steps, plant.n_perf))
     per_chunk = max(1, _CHUNK_STEPS // B)
+    w = np.empty((per_chunk * B, q))
     diverged = False
     t_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, blocks, per_chunk):
             j1 = min(j0 + per_chunk, blocks)
             t0, t1 = j0 * B, min(j1 * B, steps)
-            w = np.zeros(((j1 - j0) * B, q))
-            w[: t1 - t0] = disturbance_scale * rng.standard_normal((t1 - t0, q))
-            np.matmul(w.reshape(j1 - j0, B * q), gamma.T, out=new[j0:j1])
+            wc = w[: (j1 - j0) * B]
+            rng.standard_normal(out=wc[: t1 - t0])
+            wc[t1 - t0 :] = 0.0
+            if disturbance_scale != 1:
+                wc *= disturbance_scale
+            np.matmul(wc.reshape(j1 - j0, B * q), gamma.T, out=new[j0:j1])
             for j in range(j0, j1):
                 new[j] += P @ flat[j * B * n : (j * B + L) * n]
-            ok = np.abs(X[L + t0 : L + t1]).max(axis=1) <= OVERFLOW_GUARD
-            if not ok.all():
-                diverged = True
-                t1 = t0 + int(np.argmin(ok)) + 1
-            uc = u[t0:t1]
-            for k in range(L):
-                uc += X[L - 1 + t0 - k : L - 1 + t1 - k] @ F[k].T
+            xc = X[L + t0 : L + t1]
+            # whole-chunk bounds first; a NaN fails them too
+            if not (xc.max() <= OVERFLOW_GUARD and xc.min() >= -OVERFLOW_GUARD):
+                ok = np.abs(xc).max(axis=1) <= OVERFLOW_GUARD
+                if not ok.all():
+                    diverged = True
+                    t1 = t0 + int(np.argmin(ok)) + 1
+            hist = X[t0 : L - 1 + t1]  # x[t0 - T .. t1 - 1]
+            if L <= _DIRECT_TAPS:
+                uc = u[t0:t1]
+                for k in range(L):
+                    uc += hist[L - 1 - k : L - 1 + t1 - t0 - k] @ F[k].T
+            else:
+                u[t0:t1] = _overlap_save(F, hist)
             np.matmul(X[L - 1 + t0 : L - 1 + t1], plant.C1.T, out=z[t0:t1])
-            z[t0:t1] += uc @ plant.D12.T
+            z[t0:t1] += u[t0:t1] @ plant.D12.T
             t_done = t1
             if diverged:
                 break
@@ -352,6 +370,31 @@ def simulate_closed_loop(
         diverged=diverged,
         steps_completed=t_done,
     )
+
+
+def _overlap_save(F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[s] = sum_k F[k] x[s + L - 1 - k] for the len(x) - L + 1 windows
+    of L = len(F) consecutive rows of x, oldest first.
+
+    Overlap-save: the FFT size N is the power of two at or above 4L, each
+    segment of N inputs yields N - L + 1 outputs, and all segments go
+    through one batched rfft, one matmul per frequency and one irfft, at
+    O(n m + (n + m) log N) per output for F of shape (L, m, n).  The
+    spectrum of F holds N / 2 + 1 complex taps, 4 to 8 times F's bytes.
+    """
+    L, m, n = F.shape
+    steps = x.shape[0] - L + 1
+    if steps <= 0:
+        return np.zeros((0, m))
+    N = 1 << (4 * L - 1).bit_length()
+    hop = N - L + 1
+    segs = -(-steps // hop)
+    padded = np.zeros((segs * hop + L - 1, n))
+    padded[: len(x)] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, N, axis=0)[::hop]
+    spec = np.fft.rfft(windows, axis=2).transpose(2, 1, 0)  # (N/2 + 1, n, segs)
+    out = np.fft.irfft(np.fft.rfft(F, N, axis=0) @ spec, N, axis=0)  # (N, m, segs)
+    return out[L - 1 :].transpose(2, 0, 1).reshape(segs * hop, m)[:steps]
 
 
 def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:

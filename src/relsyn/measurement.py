@@ -100,34 +100,35 @@ def validate_c2(C2) -> MeasurementStructure:
     """
     C2 = _as_matrix(C2, "C2")
     p, n = C2.shape
-    seen_pairs = {}
-    pairs = []
-    for ell in range(p):
-        row = C2[ell]
-        pos = np.flatnonzero(row == 1.0)
-        neg = np.flatnonzero(row == -1.0)
-        other = np.flatnonzero((row != 0.0) & (row != 1.0) & (row != -1.0))
-        if other.size:
+    pos = C2 == 1.0
+    neg = C2 == -1.0
+    other = ~(pos | neg | (C2 == 0.0))
+    bad = other.any(axis=1) | (pos.sum(axis=1) != 1) | (neg.sum(axis=1) != 1)
+    # the first failing row in row order names the error: a redundant
+    # pair above the first malformed row wins, one below it is not reached
+    stop = int(np.argmax(bad)) if bad.any() else p
+    i = np.nonzero(pos[:stop])[1]
+    j = np.nonzero(neg[:stop])[1]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    dup = np.flatnonzero(first[inverse] != np.arange(stop))
+    if dup.size:
+        ell = int(dup[0])
+        raise MeasurementMatrixError(
+            f"rows {int(first[inverse[ell]])} and {ell} both measure states "
+            f"{int(lo[ell])} and {int(hi[ell])} (redundant measurement)"
+        )
+    if stop < p:
+        if other[stop].any():
             raise MeasurementMatrixError(
-                f"row {ell} has entries outside {{0, +1, -1}}"
+                f"row {stop} has entries outside {{0, +1, -1}}"
             )
-        if pos.size != 1 or neg.size != 1 or np.count_nonzero(row) != 2:
-            raise MeasurementMatrixError(
-                f"row {ell} must have exactly one +1 and one -1"
-            )
-        i, j = int(pos[0]), int(neg[0])
-        key = (min(i, j), max(i, j))
-        if key in seen_pairs:
-            raise MeasurementMatrixError(
-                f"rows {seen_pairs[key]} and {ell} both measure states "
-                f"{key[0]} and {key[1]} (redundant measurement)"
-            )
-        seen_pairs[key] = ell
-        pairs.append((i, j))
+        raise MeasurementMatrixError(
+            f"row {stop} must have exactly one +1 and one -1"
+        )
 
     adjacency = np.zeros((n, n))
-    for i, j in pairs:
-        adjacency[i, j] = adjacency[j, i] = 1.0
+    adjacency[i, j] = adjacency[j, i] = 1.0
 
     components = _bfs_components(adjacency)
     indicators = np.zeros((len(components), n))
@@ -142,24 +143,23 @@ def validate_c2(C2) -> MeasurementStructure:
 
 
 def _bfs_components(adjacency: Matrix) -> list:
-    n = adjacency.shape[0]
-    unvisited = set(range(n))
+    """Connected components as sorted tuples, ordered by smallest vertex:
+    one breadth-first search per unvisited root, roots in ascending order,
+    over neighbour lists built once."""
+    nbrs = [np.flatnonzero(row).tolist() for row in adjacency]
+    seen = [False] * len(nbrs)
     components = []
-    while unvisited:
-        root = min(unvisited)
-        comp = []
-        queue = deque([root])
-        unvisited.discard(root)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in np.flatnonzero(adjacency[v]):
-                w = int(w)
-                if w in unvisited:
-                    unvisited.discard(w)
-                    queue.append(w)
+    for root in range(len(nbrs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
         components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
     return components
 
 

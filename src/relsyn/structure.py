@@ -71,27 +71,31 @@ def ring_delay_structure(n: int) -> InfoStructure:
 def delay_structure_from_adjacency(adjacency) -> InfoStructure:
     """Delay structure with entry (i, j) = graph distance on `adjacency`.
 
-    Breadth-first shortest paths; unreachable pairs stay at inf.
+    One breadth-first search per source over neighbour lists built once,
+    so O(n E) for n vertices and E edges (O(n^2) to read the matrix);
+    unreachable pairs stay at inf.
     """
     A = np.atleast_2d(np.asarray(adjacency, dtype=float))
     n = A.shape[0]
     if A.shape != (n, n) or np.any(A != A.T) or np.any(np.diag(A) != 0):
         raise DomainError("adjacency must be symmetric with zero diagonal")
-    dist = np.full((n, n), INF)
+    nbrs = [np.flatnonzero(row).tolist() for row in A]
+    dist = np.empty((n, n))
     for s in range(n):
-        dist[s, s] = 0.0
+        row = [INF] * n
+        row[s] = 0.0
         frontier = [s]
-        d = 0
+        d = 0.0
         while frontier:
-            d += 1
+            d += 1.0
             nxt = []
             for v in frontier:
-                for w in np.flatnonzero(A[v]):
-                    w = int(w)
-                    if dist[s, w] == INF:
-                        dist[s, w] = d
+                for w in nbrs[v]:
+                    if row[w] == INF:
+                        row[w] = d
                         nxt.append(w)
             frontier = nxt
+        dist[s] = row
     return InfoStructure(dist)
 
 
@@ -117,7 +121,9 @@ def transfer_pattern(
     Structural mode (the default) works on the binary patterns of (A, B, C,
     D) so that generic parameter values cannot mask coupling: entry (i, j)
     gets the smallest tap index with a structurally nonzero Markov entry,
-    which occurs within n_states + 1 taps if it occurs at all.  With
+    which occurs within n_states + 1 taps if it occurs at all.  The
+    search stops early once every entry is set or the reachable pattern
+    A^k B stops changing.  With
     ``numerical=True`` the actual Markov parameters are thresholded at
     `tol` instead.
     """
@@ -133,16 +139,22 @@ def transfer_pattern(
             hit = (np.abs(taps[k]) > tol) & ~np.isfinite(delay)
             delay[hit] = k
         return InfoStructure(delay)
-    Ab = sys.A != 0
-    Bb = sys.B != 0
-    Cb = sys.C != 0
+    # 0/1 float products run on BLAS; binarised after each step, every
+    # entry is an exact count below 2^53
+    Ab = (sys.A != 0).astype(float)
+    Cb = (sys.C != 0).astype(float)
     delay[sys.D != 0] = 0.0
-    reach = Bb.astype(bool)
+    reach = (sys.B != 0).astype(float)
     for k in range(1, sys.n_states + 2):
-        pat = Cb @ reach
-        hit = pat & ~np.isfinite(delay)
-        delay[hit] = k
-        reach = Ab @ reach
+        unset = ~np.isfinite(delay)
+        if not unset.any():
+            break
+        delay[(Cb @ reach > 0) & unset] = k
+        nxt = (Ab @ reach > 0).astype(float)
+        if np.array_equal(nxt, reach):
+            # a fixed point: every later step hits the same entries
+            break
+        reach = nxt
     return InfoStructure(delay)
 
 

@@ -36,6 +36,45 @@ ALL_PAIRS_4 = np.array(
 FIVE_STATE = np.array([[1.0, 0, -1, 0, 0], [0, -1, 0, 1, 0]])
 
 
+def components_loop(adjacency):
+    """Components by a breadth-first search with one `flatnonzero` per
+    visited vertex: the form the kernel replaced, kept as its oracle."""
+    n = adjacency.shape[0]
+    unvisited = set(range(n))
+    components = []
+    while unvisited:
+        root = min(unvisited)
+        comp, queue = [], [root]
+        unvisited.discard(root)
+        while queue:
+            v = queue.pop(0)
+            comp.append(v)
+            for w in np.flatnonzero(adjacency[v]):
+                if int(w) in unvisited:
+                    unvisited.discard(int(w))
+                    queue.append(int(w))
+        components.append(tuple(sorted(comp)))
+    return sorted(components, key=lambda c: c[0])
+
+
+def disconnected_c2(rng, sizes):
+    """Random connected sensing on each block of `sizes` states, the
+    blocks' states interleaved by a random relabelling."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    rows, start = [], 0
+    for size in sizes:
+        if size > 1:
+            block = rand_connected_c2(rng, size, extra_edges=size // 3)
+            full = np.zeros((block.shape[0], n))
+            full[:, perm[start : start + size]] = block
+            rows.append(full)
+        start += size
+    C2 = np.vstack(rows)
+    rng.shuffle(C2)
+    return C2
+
+
 class TestValidateC2:
     def test_two_disjoint_pairs(self):
         ms = validate_c2(TWO_PAIRS)
@@ -73,6 +112,37 @@ class TestValidateC2:
     def test_entries_outside_unit_rejected(self):
         with pytest.raises(MeasurementMatrixError):
             validate_c2([[2.0, -2, 0]])
+
+    @pytest.mark.parametrize(
+        "C2, message",
+        [
+            (
+                [[1, -1, 0], [1, -1, 0], [2, 0, 0]],
+                "rows 0 and 1 both measure states 0 and 1 (redundant measurement)",
+            ),
+            ([[1, -1, 0], [2, 0, 0], [-1, 1, 0]], "row 1 has entries outside {0, +1, -1}"),
+            ([[0, 1, -1], [1, 1, -1], [-1, 0, 1]], "row 1 must have exactly one +1 and one -1"),
+            (
+                [[1, -1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1], [1, 1, 0, 0]],
+                "rows 1 and 2 both measure states 2 and 3 (redundant measurement)",
+            ),
+            ([[1, 0, -1], [0, 0, 0]], "row 1 must have exactly one +1 and one -1"),
+            (
+                [[1, -1, 0], [0, 1, -1], [-1, 1, 0], [3, 0, 0]],
+                "rows 0 and 2 both measure states 0 and 1 (redundant measurement)",
+            ),
+        ],
+    )
+    def test_first_failing_row_decides(self, C2, message):
+        with pytest.raises(MeasurementMatrixError) as err:
+            validate_c2(np.array(C2, dtype=float))
+        assert str(err.value) == message
+
+    def test_components_match_the_loop_on_disconnected_sensing(self, rng):
+        for sizes in ([1, 4, 1, 6], [3, 3, 3], [9, 1, 1, 2, 5], [30, 1, 20]):
+            ms = validate_c2(disconnected_c2(rng, sizes))
+            assert ms.components == tuple(components_loop(ms.adjacency))
+            assert sorted(len(c) for c in ms.components) == sorted(sizes)
 
 
 class TestRelativeMap:

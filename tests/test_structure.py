@@ -23,6 +23,62 @@ from relsyn import (
 from relsyn.bench import local_sensor_structure, triangular_plant
 
 
+def distances_loop(adjacency):
+    """Breadth-first distances with one `flatnonzero` per visited vertex:
+    the element-wise form the kernel replaced, kept as its oracle."""
+    A = np.asarray(adjacency, dtype=float)
+    n = A.shape[0]
+    dist = np.full((n, n), np.inf)
+    for s in range(n):
+        dist[s, s] = 0.0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in np.flatnonzero(A[v]):
+                    w = int(w)
+                    if dist[s, w] == np.inf:
+                        dist[s, w] = d
+                        nxt.append(w)
+            frontier = nxt
+    return dist
+
+
+def pattern_loop(sys):
+    """Structural minimum delays by n + 1 boolean products, no early exit:
+    the form the kernel replaced, kept as its oracle."""
+    delay = np.full((sys.n_outputs, sys.n_inputs), np.inf)
+    Ab, Cb = sys.A != 0, sys.C != 0
+    delay[sys.D != 0] = 0.0
+    reach = sys.B != 0
+    for k in range(1, sys.n_states + 2):
+        hit = (Cb @ reach) & ~np.isfinite(delay)
+        delay[hit] = k
+        reach = Ab @ reach
+    return delay
+
+
+def tree_with_chords(rng, n, chords):
+    A = np.zeros((n, n))
+    order = rng.permutation(n)
+    for idx in range(1, n):
+        a, b = int(order[idx]), int(order[rng.integers(0, idx)])
+        A[a, b] = A[b, a] = 1.0
+    free = np.argwhere(np.triu(A == 0, 1))
+    for i, j in free[rng.choice(len(free), chords, replace=False)]:
+        A[i, j] = A[j, i] = 1.0
+    return A
+
+
+def path_adjacency(n):
+    A = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    A[idx, idx + 1] = A[idx + 1, idx] = 1.0
+    return A
+
+
 class TestRingDelayStructure:
     def test_n3_matrix(self):
         # diagonal acts instantly, every off-diagonal entry after one step
@@ -47,6 +103,80 @@ class TestRingDelayStructure:
     def test_too_small_rejected(self):
         with pytest.raises(DomainError):
             ring_delay_structure(1)
+
+
+class TestAdjacencyKernel:
+    def test_ring_64(self):
+        A = ring_adjacency(64)
+        assert np.array_equal(delay_structure_from_adjacency(A).min_delay, distances_loop(A))
+
+    def test_path_300(self):
+        A = path_adjacency(300)
+        got = delay_structure_from_adjacency(A).min_delay
+        assert np.array_equal(got, distances_loop(A))
+        assert got[0, 299] == 299.0
+
+    def test_random_connected_200_with_chords(self, rng):
+        A = tree_with_chords(rng, 200, 40)
+        assert np.array_equal(delay_structure_from_adjacency(A).min_delay, distances_loop(A))
+
+    def test_isolated_vertex_stays_at_inf(self, rng):
+        A = np.zeros((9, 9))
+        A[np.ix_([0, 1, 2, 4, 5, 6, 7, 8], [0, 1, 2, 4, 5, 6, 7, 8])] = tree_with_chords(rng, 8, 3)
+        got = delay_structure_from_adjacency(A).min_delay
+        assert np.array_equal(got, distances_loop(A))
+        assert np.isinf(np.delete(got[3], 3)).all() and got[3, 3] == 0.0
+
+    def test_weighted_entries_count_as_edges(self):
+        A = 2.5 * path_adjacency(5)
+        assert np.array_equal(delay_structure_from_adjacency(A).min_delay, distances_loop(A))
+
+    def test_one_flatnonzero_per_vertex(self, rng, monkeypatch):
+        # neighbour lists are built once: n calls, not one per visit
+        calls = []
+        real = np.flatnonzero
+
+        def spy(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        delay_structure_from_adjacency(tree_with_chords(rng, 50, 20))
+        assert len(calls) <= 50
+
+
+class TestPatternKernel:
+    @pytest.mark.parametrize("block", ["pyu", "pxu"])
+    def test_triangular_20(self, block):
+        sys = getattr(triangular_plant(20), block)()
+        assert np.array_equal(transfer_pattern(sys).min_delay, pattern_loop(sys))
+
+    def test_ring_64_integrator(self):
+        eye = np.eye(64)
+        sys = StateSpace(eye, eye, eye, np.zeros((64, 64)))
+        assert np.array_equal(transfer_pattern(sys).min_delay, pattern_loop(sys))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_with_unreachable_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, p = 12, 3, 4
+
+        def sparse(shape, density):
+            return np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+
+        B, D = sparse((n, m), 0.2), sparse((p, m), 0.1)
+        B[:, 0] = D[0, 0] = 0.0  # entry (0, 0) is unreachable
+        sys = StateSpace(sparse((n, n), 0.12), B, sparse((p, n), 0.2), D)
+        want = pattern_loop(sys)
+        assert np.array_equal(transfer_pattern(sys).min_delay, want)
+        assert np.isinf(want[0, 0])
+
+    def test_nilpotent_chain_and_static_gain(self):
+        shift = np.eye(6, k=1)
+        sys = StateSpace(shift, np.eye(6)[:, [5]], np.eye(6)[[0]], np.zeros((1, 1)))
+        assert transfer_pattern(sys).min_delay.tolist() == [[6.0]]
+        static = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))
+        assert np.array_equal(transfer_pattern(static).min_delay, pattern_loop(static))
 
 
 class TestMembership:
