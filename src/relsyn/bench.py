@@ -38,10 +38,6 @@ OVERFLOW_GUARD = 1e9
 #: Steps per chunk of noise draws and output products in the simulation.
 _CHUNK_STEPS = 4096
 
-#: Controller taps up to which the simulation applies the FIR stage as a
-#: direct sum of tap products instead of by overlap-save.
-_DIRECT_TAPS = 8
-
 #: Entries of the simulation's lift [P Gamma] (32 MB) above which blocks
 #: get shorter than the controller's T + 1 taps.
 _LIFT_DOUBLES = 1 << 22
@@ -300,9 +296,12 @@ def simulate_closed_loop(
     and the overflow guard go in chunks of about `_CHUNK_STEPS` steps;
     the run stops at the first state above `OVERFLOW_GUARD` or not
     finite, and stores that state.  The controller output
-    u[t] = sum_k F_k x[t-k] is one FIR filter over the chunk's states:
-    by overlap-save (`_overlap_save`) for more than `_DIRECT_TAPS` taps,
-    as a sum of tap products otherwise.
+    u[t] = sum_k F_k x[t-k] is one FIR filter over the chunk's states,
+    applied by overlap-save (`_overlap_save`).  Its rounding error is
+    about eps times the largest state of the surrounding FFT segment, not
+    of u[t]'s own window: u and z match the tap sum to that, so in the
+    chunk where a run diverges the early entries are accurate only
+    relative to the run's peak (up to `OVERFLOW_GUARD`).
     """
     if steps < 1:
         raise DomainError("steps must be positive")
@@ -352,12 +351,7 @@ def simulate_closed_loop(
                     diverged = True
                     t1 = t0 + int(np.argmin(ok)) + 1
             hist = X[t0 : L - 1 + t1]  # x[t0 - T .. t1 - 1]
-            if L <= _DIRECT_TAPS:
-                uc = u[t0:t1]
-                for k in range(L):
-                    uc += hist[L - 1 - k : L - 1 + t1 - t0 - k] @ F[k].T
-            else:
-                u[t0:t1] = _overlap_save(F, hist)
+            u[t0:t1] = _overlap_save(F, hist)
             np.matmul(X[L - 1 + t0 : L - 1 + t1], plant.C1.T, out=z[t0:t1])
             z[t0:t1] += u[t0:t1] @ plant.D12.T
             t_done = t1
