@@ -49,7 +49,6 @@ from .measurement import (
     decompose,
     is_relative_map,
     recover_controller,
-    recover_matrix,
     solve_chain,
     validate_c2,
 )
@@ -62,7 +61,6 @@ from .solver import (
     build_ring_problem,
     circulant_reduce,
     combined_r_structure,
-    eliminate_q0,
     least_squares,
     recovered_r_fir,
     recovered_structure,
@@ -89,6 +87,7 @@ from .youla import (
     check_e_constraint,
     laplacian_rnom,
     make_t_systems,
+    nominal_verdicts,
     q_from_r,
     r_from_q,
 )

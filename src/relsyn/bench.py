@@ -6,8 +6,10 @@ the usual control-theory convention; all library data stays 0-based.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
+import runpy
 import time
 from dataclasses import dataclass
 
@@ -544,18 +546,26 @@ def parse_csv(path: str):
 
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-\"\"\"Render cost-per-node curves from {csv_name} (one series per gamma).\"\"\"
+\"\"\"Render cost-per-node curves from {csv_name} (one series per gamma).
+
+Reads the CSV next to this file and writes {png_name} beside it, from any
+working directory; failed (NaN) rows are skipped.
+\"\"\"
 import csv
+import math
+import os
 from collections import defaultdict
 
 import matplotlib
 matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
+here = os.path.dirname(os.path.abspath(__file__))
 series = defaultdict(list)
-with open({csv_name!r}, "r", encoding="utf-8") as fh:
+with open(os.path.join(here, {csv_name!r}), "r", encoding="utf-8") as fh:
     for row in csv.DictReader(fh):
-        series[float(row["gamma"])].append((int(row["n"]), float(row["J_per_node"])))
+        if not math.isnan(float(row["J"])):
+            series[float(row["gamma"])].append((int(row["n"]), float(row["J_per_node"])))
 
 fig, ax = plt.subplots(figsize=(6.0, 3.8))
 for gamma in sorted(series):
@@ -567,8 +577,8 @@ ax.set_ylabel("cost per node J / n")
 ax.legend()
 ax.grid(True, alpha=0.3)
 fig.tight_layout()
-fig.savefig({png_name!r}, dpi=160)
-print("wrote", {png_name!r})
+fig.savefig(os.path.join(here, {png_name!r}), dpi=160)
+plt.close(fig)
 """
 
 
@@ -587,35 +597,13 @@ def _emit_plot_script(csv_path: str) -> str:
 
 
 def render_sweep_png(csv_path: str) -> str | None:
-    """Render the cost-per-node figure next to the CSV; returns the PNG
-    path, or None when matplotlib is unavailable."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
+    """Render the cost-per-node figure next to the CSV by running its
+    emitted plot script in-process; returns the PNG path, or None when
+    matplotlib is unavailable."""
+    if importlib.util.find_spec("matplotlib") is None:
         return None
-    rows = [r for r in parse_csv(csv_path) if not r.failed]
-    gammas = sorted({r.gamma for r in rows})
-    fig, ax = plt.subplots(figsize=(6.0, 3.8))
-    for gamma in gammas:
-        pts = sorted((r.n, r.J_per_node) for r in rows if r.gamma == gamma)
-        ax.plot(
-            [p[0] for p in pts],
-            [p[1] for p in pts],
-            marker="o",
-            label=f"gamma = {gamma:g}",
-        )
-    ax.set_xlabel("network size n")
-    ax.set_ylabel("cost per node J / n")
-    ax.legend()
-    ax.grid(True, alpha=0.3)
-    fig.tight_layout()
-    png_path = _sibling(csv_path, ".png")
-    fig.savefig(png_path, dpi=160)
-    plt.close(fig)
-    return png_path
+    runpy.run_path(_sibling(csv_path, "_plot.py"))
+    return _sibling(csv_path, ".png")
 
 
 # ---------------------------------------------------------------------------

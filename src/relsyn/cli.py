@@ -27,13 +27,12 @@ from .measurement import validate_c2
 from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
-    build_ring_problem,
     ring_plant,
     solve,
     solve_ring_circulant,
 )
 from .structure import qi_certificate, transfer_pattern
-from .youla import build_tilde_plant, check_e_constraint, laplacian_rnom, make_t_systems
+from .youla import build_tilde_plant, laplacian_rnom, make_t_systems, nominal_verdicts
 
 
 def main(argv=None) -> int:
@@ -160,8 +159,12 @@ def _cmd_qi(args) -> int:
     return 0
 
 
-def _build_problem_from_bundle(bundle: dict, args) -> tuple:
-    """Returns (problem, gamma_label, solver_kind)."""
+def _solve_bundle(bundle: dict, args) -> tuple:
+    """Build and solve the bundle's problem once.
+
+    Returns (result, gamma_label, plant), the plant with its own sensing
+    matrix; a ring bundle takes the circulant path.
+    """
     path = args.bundle
     horizon_q = args.horizon_q
     if horizon_q is None:
@@ -170,8 +173,7 @@ def _build_problem_from_bundle(bundle: dict, args) -> tuple:
     if "ring" in bundle:
         n = fileio._number(path, bundle["ring"], int)
         gamma = fileio._number(path, bundle.get("gamma", 0.5))
-        prob = build_ring_problem(n, gamma, horizon_q)
-        return prob, gamma, "ring"
+        return solve_ring_circulant(n, gamma, horizon_q), gamma, ring_plant(n, gamma)
 
     missing = [key for key in ("plant", "structure") if key not in bundle]
     if missing:
@@ -205,16 +207,12 @@ def _build_problem_from_bundle(bundle: dict, args) -> tuple:
     yd = make_t_systems(build_tilde_plant(plant), rnom, ms)
     prob = SynthesisProblem(yd=yd, structure=structure, ms=ms, horizon_q=horizon_q)
     gamma = fileio._number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
-    return prob, gamma, "general"
+    return solve(prob), gamma, plant
 
 
 def _cmd_solve(args) -> int:
     bundle = fileio.read_bundle(args.bundle)
-    prob, gamma, kind = _build_problem_from_bundle(bundle, args)
-    if kind == "ring":
-        res = solve_ring_circulant(prob.yd.plant.n_states, gamma, prob.horizon_q)
-    else:
-        res = solve(prob)
+    res, gamma, plant = _solve_bundle(bundle, args)
     out_dir = args.out_dir or bundle["_dir"]
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.bundle))[0]
@@ -222,9 +220,8 @@ def _cmd_solve(args) -> int:
     k_path = os.path.join(out_dir, f"{stem}_k_opt.fir")
     fileio.write_fir(q_path, res.q_opt)
     fileio.write_fir(k_path, res.k_opt)
-    n = prob.yd.plant.n_states
     print(
-        f"n={n} gamma={gamma:.12g} J={res.objective:.12g} "
+        f"n={plant.n_states} gamma={gamma:.12g} J={res.objective:.12g} "
         f"residual={res.residual_gradient:.12g}"
     )
     print(f"wrote {q_path}")
@@ -277,16 +274,9 @@ def _cmd_ring_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     bundle = fileio.read_bundle(args.bundle)
-    prob, gamma, kind = _build_problem_from_bundle(bundle, args)
-    if kind == "ring":
-        n = prob.yd.plant.n_states
-        res = solve_ring_circulant(n, gamma, prob.horizon_q)
-        plant = ring_plant(n, gamma)
-    else:
-        res = solve(prob)
-        plant = _plant_of(bundle)
+    res, gamma, plant = _solve_bundle(bundle, args)
     rec = bench.simulate_closed_loop(
-        plant, res.k_opt, prob.ms, steps=args.steps, seed=args.seed
+        plant, res.k_opt, res.yd.ms, steps=args.steps, seed=args.seed
     )
     if rec.diverged:
         print(f"diverged after {rec.steps_completed} steps")
@@ -299,13 +289,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _plant_of(bundle: dict):
-    return _load_plant(
-        fileio.bundle_path(bundle, "plant"),
-        c2=fileio.read_matrix(fileio.bundle_path(bundle, "c2")) if "c2" in bundle else None,
-    )
-
-
 def _cmd_example(args) -> int:
     if args.name == "motivating":
         print(bench.run_motivating_example().text)
@@ -315,8 +298,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_youla_check(args) -> int:
-    from .lti import close_loop, is_internally_stable
-
     c2 = fileio.read_matrix(args.c2) if args.c2 else None
     plant = _load_plant(args.plantfile, c2=c2)
     ms = validate_c2(plant.C2)
@@ -325,18 +306,8 @@ def _cmd_youla_check(args) -> int:
     elif args.rnomfile:
         rnom = StateSpace.static_gain(fileio.read_matrix(args.rnomfile))
     else:
-        print("error: provide an rnom file or --laplacian", file=sys.stderr)
-        return 2
-    tilde = build_tilde_plant(plant)
-    stable = rnom.n_states == 0 or rnom.is_schur()
-    relative = check_e_constraint(rnom, ms.indicators)
-    cl = close_loop(tilde, rnom)
-    dirs = []
-    for e in ms.agreement_directions():
-        v = np.zeros(cl.n_states)
-        v[: plant.n_states] = e
-        dirs.append(v)
-    stabilizing = is_internally_stable(cl, dirs)
+        raise DomainError("provide an rnom file or --laplacian")
+    stable, relative, stabilizing, _ = nominal_verdicts(build_tilde_plant(plant), rnom, ms)
     print(f"nominal controller stable:                    {_verdict(stable)}")
     print(f"annihilates every component indicator:        {_verdict(relative)}")
     print(f"stabilizes extended plant modulo agreement:   {_verdict(stabilizing)}")

@@ -311,16 +311,15 @@ class RelativeDecomposition:
 
     `blocks[i]` acts on the i-th component's state sub-vector (columns in
     sorted component order); `chain_gains[i]` are the chain coefficients of
-    the block under `orderings[i]`; `witnesses`, when materialized, gives
-    for each component the difference-pair coefficient systems keyed by the
-    (i, j) vertex pair they multiply.
+    the block under `orderings[i]`: column k of `chain_gains[i]`
+    multiplies the difference of vertices `orderings[i][k]` and
+    `orderings[i][k + 1]`.
     """
 
     structure: MeasurementStructure
     blocks: tuple
     orderings: tuple
     chain_gains: tuple
-    witnesses: tuple | None = None
 
     def reassemble(self) -> FirSystem:
         """Place the blocks back onto full state coordinates."""
@@ -340,12 +339,7 @@ def _as_fir(R) -> FirSystem:
     return FirSystem(np.asarray(R, dtype=float)[np.newaxis])
 
 
-def decompose(
-    R,
-    ms: MeasurementStructure,
-    materialize_witnesses: bool = False,
-    tol: float = RELATIVE_TOL,
-) -> RelativeDecomposition:
+def decompose(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> RelativeDecomposition:
     """Split R into per-component blocks, each of which must be relative.
 
     Accepts a FIR system or a static matrix.  Fails with a
@@ -353,12 +347,10 @@ def decompose(
     some block has a nonzero row sum; a single-vertex component forces an
     identically zero block.
     """
-    return _decompose(_as_fir(R), ms, materialize_witnesses, tol)[0]
+    return _decompose(_as_fir(R), ms, tol)[0]
 
 
-def _decompose(
-    fir: FirSystem, ms: MeasurementStructure, materialize_witnesses: bool, tol: float
-) -> tuple:
+def _decompose(fir: FirSystem, ms: MeasurementStructure, tol: float) -> tuple:
     """:func:`decompose`, also handing over each component's chain
     transform (None for a single vertex) so that recovery need not
     rebuild it."""
@@ -370,7 +362,7 @@ def _decompose(
     for ci, comp in enumerate(ms.components):
         block = fir.taps[:, :, list(comp)]
         sums = block.sum(axis=2)
-        bad = np.flatnonzero(np.abs(sums).max(axis=1) > tol)
+        bad = np.flatnonzero(np.abs(sums).max(axis=1, initial=0.0) > tol)
         if bad.size:
             raise DecompositionError(
                 f"component {ci} (states {comp}) has a non-relative block at "
@@ -383,14 +375,11 @@ def _decompose(
     orderings = []
     gains = []
     transforms = []
-    witnesses = [] if materialize_witnesses else None
     for ci, comp in enumerate(ms.components):
         if len(comp) == 1:
             orderings.append((comp[0],))
             gains.append(FirSystem.zero(fir.n_outputs, 0, fir.horizon))
             transforms.append(None)
-            if materialize_witnesses:
-                witnesses.append({})
             continue
         T, ordering = chain_transform(ms, comp)
         perm = [comp.index(v) for v in ordering]
@@ -399,64 +388,32 @@ def _decompose(
         orderings.append(ordering)
         gains.append(FirSystem(G))
         transforms.append(T)
-        if materialize_witnesses:
-            w = {}
-            for k in range(len(ordering) - 1):
-                pair = (ordering[k], ordering[k + 1])
-                w[pair] = FirSystem(G[:, :, k : k + 1].copy())
-            witnesses.append(w)
     dec = RelativeDecomposition(
         structure=ms,
         blocks=tuple(blocks),
         orderings=tuple(orderings),
         chain_gains=tuple(gains),
-        witnesses=tuple(witnesses) if materialize_witnesses else None,
     )
     return dec, transforms
-
-
-def recover_matrix(F, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> Matrix:
-    """Solve K @ C2 = F for a static matrix F with relative blocks.
-
-    Per component the chain coefficients are mapped back through the chain
-    transform; measurement rows outside the spanning tree receive zeros.
-    """
-    F = _as_matrix(F, "F")
-    if F.shape[1] != ms.n_states:
-        raise DimensionError("column count does not match the measurement structure")
-    K = np.zeros((F.shape[0], ms.n_measurements))
-    for ci, comp in enumerate(ms.components):
-        block = F[:, list(comp)]
-        if np.abs(block.sum(axis=1)).max() > tol:
-            raise DecompositionError(
-                f"component {ci} (states {comp}) block is not relative",
-                component=ci,
-            )
-        if len(comp) == 1:
-            continue
-        T, ordering = chain_transform(ms, comp)
-        perm = [comp.index(v) for v in ordering]
-        G = solve_chain(block[:, perm], tol=np.inf)
-        rows = ms.component_rows(ci)
-        K[:, list(rows)] += G @ T[: len(comp) - 1]
-    return K
 
 
 def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
     """Recover K with K C2 = R, in the same representation as R.
 
     For a FIR map every tap is recovered independently (matching Markov
-    parameters suffices).  For a state-space map the realization itself
-    must be relative -- its B and D matrices are recovered, leaving A and C
-    untouched -- so that K C2 = R holds exactly at the realization level.
-    Raises :class:`DecompositionError` when R does not decompose.
+    parameters suffices), and a static matrix is the FIR map of one tap.
+    For a state-space map the realization itself must be relative -- its
+    B and D matrices are recovered, leaving A and C untouched -- so that
+    K C2 = R holds exactly at the realization level.  Measurement rows
+    outside each component's spanning tree receive zeros.  Raises
+    :class:`DecompositionError` when R does not decompose.
     """
     if isinstance(R, StateSpace):
-        Bk = recover_matrix(R.B, ms, tol)
-        Dk = recover_matrix(R.D, ms, tol)
+        Bk = recover_controller(R.B, ms, tol)
+        Dk = recover_controller(R.D, ms, tol)
         return StateSpace(R.A, Bk, R.C, Dk)
     fir = _as_fir(R)
-    dec, transforms = _decompose(fir, ms, False, tol)
+    dec, transforms = _decompose(fir, ms, tol)
     K = np.zeros((fir.horizon + 1, fir.n_outputs, ms.n_measurements))
     for ci, (comp, T) in enumerate(zip(ms.components, transforms)):
         if T is None:

@@ -466,27 +466,6 @@ def build_ring_problem(
     )
 
 
-def eliminate_q0(n: int) -> FirSystem:
-    """Column-lift map from the free circulant entries to the first column.
-
-    The relative constraint ties the diagonal entry to the off-diagonal
-    ones, so the first column of Q equals M q with q the n-1 free scalar
-    FIRs: row 0 of M collects -z^(-l_j) over every parameter and row n-j
-    holds +z^(-l_j) for parameter j, where l_j is the ring distance of
-    circulant offset j.  Column sums vanish, so Q 1 = 0 holds by
-    construction.
-    """
-    if n < 2:
-        raise DomainError("ring needs at least 2 nodes")
-    dist = [min(j, n - j) for j in range(n)]
-    horizon = max(dist[1:])
-    taps = np.zeros((horizon + 1, n, n - 1))
-    for j in range(1, n):
-        taps[dist[j], 0, j - 1] = -1.0
-        taps[dist[j], n - j, j - 1] = 1.0
-    return FirSystem(taps)
-
-
 def _is_circulant(M: np.ndarray) -> bool:
     n = M.shape[0]
     if M.shape != (n, n):
@@ -503,9 +482,9 @@ class CirculantReduction:
     sum over j, b of q_j[b] z^-(param_delays[j] + b) basis_j||^2 exactly.
     `target` is the first column of T1, and input j of `basis` is the
     response T2 T3 (e_(n-1-j) - e_0) of the free circulant parameter for
-    offset j + 1, whose lift column (see :func:`eliminate_q0`) is that
-    direction delayed by its ring distance `param_delays[j]`.  The lift
-    thus lives in the column delays, not in the basis's states.
+    offset j + 1, whose lift column is that direction delayed by its ring
+    distance `param_delays[j]`.  The lift thus lives in the column delays,
+    not in the basis's states.
     Parameter j has taps 0..`param_horizons[j]`.  Both systems are state
     space, so the H2 norm is taken over the whole infinite horizon.
     """

@@ -137,17 +137,16 @@ def make_t_systems(
             f"nominal controller must map R^{n} -> R^{p_tilde.n_ctrl}, "
             f"got {rn.n_inputs} -> {rn.n_outputs}"
         )
-    if rn.n_states and not rn.is_schur():
+    stable, relative, stabilizing, cl = nominal_verdicts(p_tilde, rn, ms)
+    if not stable:
         raise NominalUnstableError(
             f"nominal controller has spectral radius {rn.spectral_radius():.6f}"
         )
-    if not check_e_constraint(rn, ms.indicators):
+    if not relative:
         raise NominalNotRelativeError(
             "nominal controller does not annihilate every component indicator"
         )
-    cl = close_loop(p_tilde, rn)
-    dirs = _lifted_agreement(ms, cl.n_states, n)
-    if not is_internally_stable(cl, dirs):
+    if not stabilizing:
         raise NominalNotStabilizingError(
             "nominal controller does not internally stabilize the extended "
             "plant modulo the agreement directions"
@@ -170,6 +169,7 @@ def make_t_systems(
     if t1.is_schur():
         t1s, t2s = t1, t2
     else:
+        dirs = _lifted_agreement(ms, cl.n_states, n)
         t1s = drop_invariant_subspace(t1, dirs)
         t2s = drop_invariant_subspace(t2, dirs)
         t3p = drop_invariant_subspace(t3p, dirs)
@@ -185,6 +185,23 @@ def make_t_systems(
         t3_projected=t3p,
         disagreement_basis=V,
     )
+
+
+def nominal_verdicts(p_tilde: Plant, r_nom, ms: MeasurementStructure) -> tuple:
+    """The three checks on a nominal controller, in the order in which
+    :func:`make_t_systems` raises on them.
+
+    Returns (stable, relative, stabilizing, cl): whether the controller is
+    Schur stable, whether it annihilates every component indicator, and
+    whether it internally stabilizes the extended plant modulo the
+    agreement directions, with cl the closed loop of that last check.
+    """
+    rn = as_statespace(r_nom)
+    stable = rn.n_states == 0 or rn.is_schur()
+    relative = check_e_constraint(rn, ms.indicators)
+    cl = close_loop(p_tilde, rn)
+    dirs = _lifted_agreement(ms, cl.n_states, p_tilde.n_states)
+    return stable, relative, is_internally_stable(cl, dirs), cl
 
 
 def _lifted_agreement(ms: MeasurementStructure, n_cl: int, n_plant: int) -> list:

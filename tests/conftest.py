@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relsyn import (
+    DomainError,
     FirSystem,
     Plant,
     StateSpace,
@@ -120,6 +121,28 @@ def consensus_problem(C2, gamma, horizon_q):
         ms=ms,
         horizon_q=horizon_q,
     )
+
+
+def eliminate_q0(n: int) -> FirSystem:
+    """Column-lift map from the free circulant entries to the first column.
+
+    The relative constraint ties the diagonal entry to the off-diagonal
+    ones, so the first column of Q equals M q with q the n-1 free scalar
+    FIRs: row 0 of M collects -z^(-l_j) over every parameter and row n-j
+    holds +z^(-l_j) for parameter j, where l_j is the ring distance of
+    circulant offset j.  Column sums vanish, so Q 1 = 0 holds by
+    construction.  The circulant solve keeps this lift as column delays;
+    the tests use the FIR map as its oracle.
+    """
+    if n < 2:
+        raise DomainError("ring needs at least 2 nodes")
+    dist = [min(j, n - j) for j in range(n)]
+    horizon = max(dist[1:])
+    taps = np.zeros((horizon + 1, n, n - 1))
+    for j in range(1, n):
+        taps[dist[j], 0, j - 1] = -1.0
+        taps[dist[j], n - j, j - 1] = 1.0
+    return FirSystem(taps)
 
 
 def upper_triangular_plant(n=4, diag=0.5, upper=0.1):

@@ -3,11 +3,14 @@
 import importlib.util
 import math
 import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
 from relsyn import (
+    DomainError,
     FirSystem,
     fir_compose,
     membership,
@@ -213,6 +216,94 @@ class TestSweep:
             assert checks["k_member"]
             assert checks["kc2_relative"]
             assert checks["constraint_violation"] <= 1e-12
+
+
+STUB_PYPLOT = """\
+calls = []
+
+
+class _Axes:
+    def plot(self, x, y, **kwargs):
+        calls.append((kwargs.get("label"), list(x), list(y)))
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class _Figure:
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        with open(path, "wb") as fh:
+            fh.write(b"stub")
+
+
+def subplots(*args, **kwargs):
+    return _Figure(), _Axes()
+
+
+def close(fig=None):
+    pass
+"""
+
+
+@pytest.fixture
+def stub_matplotlib(tmp_path, monkeypatch):
+    """A stand-in matplotlib on sys.path whose pyplot records plot calls.
+
+    It leaves sys.modules as it found it, so the tests that take the
+    no-matplotlib branch are unaffected."""
+    pkg = tmp_path / "stub" / "matplotlib"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("def use(backend):\n    pass\n")
+    (pkg / "pyplot.py").write_text(STUB_PYPLOT)
+    for name in ("matplotlib", "matplotlib.pyplot"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.syspath_prepend(str(tmp_path / "stub"))
+    yield
+    for name in ("matplotlib", "matplotlib.pyplot"):
+        sys.modules.pop(name, None)
+
+
+class TestSweepFigure:
+    def test_script_draws_next_to_the_csv_from_any_directory(
+        self, tmp_path, monkeypatch, capsys, stub_matplotlib
+    ):
+        real = bench.solve_ring_circulant
+
+        def failing_at_4_half(n, gamma, horizon_q):
+            if (n, gamma) == (4, 0.5):
+                raise DomainError("injected failure")
+            return real(n, gamma, horizon_q=horizon_q)
+
+        monkeypatch.setattr(bench, "solve_ring_circulant", failing_at_4_half)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path)
+        cfg = SweepConfig(
+            n_values=(3, 4), gamma_values=(0.2, 0.5), horizon_q=8, output_path="out/s.csv"
+        )
+        rows, csv_path, script_path, png_path = run_ring_sweep(cfg, render=True)
+        assert [r.failed for r in rows] == [False, False, False, True]
+        assert png_path == os.path.join("out", "s.png")
+        assert (tmp_path / "out" / "s.png").exists()
+        calls = sys.modules["matplotlib.pyplot"].calls
+        # one series per gamma; the failed (4, 0.5) row is skipped
+        assert [(label, x) for label, x, _ in calls] == [
+            ("gamma = 0.2", [3, 4]),
+            ("gamma = 0.5", [3]),
+        ]
+        assert not any(math.isnan(v) for _, _, y in calls for v in y)
+
+        (tmp_path / "out" / "s.png").unlink()
+        calls.clear()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        runpy.run_path(str(tmp_path / script_path))
+        assert (tmp_path / "out" / "s.png").exists()
+        assert not (tmp_path / "elsewhere" / "s.png").exists()
+        assert len(calls) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSweepConfigValidation:

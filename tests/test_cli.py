@@ -140,6 +140,12 @@ def test_youla_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out  # zero gain does not stabilize the ring
 
+    # no nominal controller to check: a typed error, exit code 1
+    assert main(["youla", "check", str(plant_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: provide an rnom file or --laplacian\n"
+
 
 def test_error_reporting(tmp_path, capsys):
     bad = tmp_path / "bad.mat"

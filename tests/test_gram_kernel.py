@@ -20,7 +20,6 @@ from relsyn import (
     build_ring_problem,
     circulant_reduce,
     compile_constraints,
-    eliminate_q0,
     fir_compose,
     least_squares,
     markov,
@@ -36,7 +35,13 @@ from relsyn.solver import (
     _solve_gram,
 )
 
-from conftest import ORACLE_HORIZON, consensus_problem, rand_connected_c2, rand_schur
+from conftest import (
+    ORACLE_HORIZON,
+    consensus_problem,
+    eliminate_q0,
+    rand_connected_c2,
+    rand_schur,
+)
 
 
 def dense_general(prob):

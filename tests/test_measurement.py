@@ -16,7 +16,6 @@ from relsyn import (
     is_relative_map,
     markov,
     recover_controller,
-    recover_matrix,
     solve_chain,
     validate_c2,
 )
@@ -217,7 +216,7 @@ class TestRecovery:
         # read x1 - x3 and x4 - x2, so K = [3, 1]
         ms = validate_c2(FIVE_STATE)
         R = np.array([[3.0, -1.0, -3.0, 1.0, 0.0]])
-        K = recover_matrix(R, ms)
+        K = recover_controller(R, ms)
         assert K.tolist() == [[3.0, 1.0]]
         assert np.array_equal(K @ FIVE_STATE, R)
 
@@ -261,6 +260,33 @@ class TestRecovery:
         with pytest.raises(DecompositionError):
             recover_controller(R, ms)
 
+    def test_static_nonrelative_block_names_component_and_tap(self):
+        # the {x2, x4} block [-1, 2] has row sum 1
+        ms = validate_c2(FIVE_STATE)
+        R = np.array([[3.0, -1.0, -3.0, 2.0, 0.0]])
+        with pytest.raises(DecompositionError) as err:
+            recover_controller(R, ms)
+        assert err.value.component == 1
+        assert err.value.tap == 0
+        assert "non-relative block at tap 0" in str(err.value)
+
+    def test_statespace_nonrelative_b_rejected(self):
+        # relative D, but B's row on {x1, x2} sums to 1
+        ms = validate_c2(TWO_PAIRS)
+        B = np.array([[1.0, 0.0, 1.0, -1.0]])
+        R = StateSpace([[0.5]], B, [[1.0]], np.zeros((1, 4)))
+        with pytest.raises(DecompositionError) as err:
+            recover_controller(R, ms)
+        assert (err.value.component, err.value.tap) == (0, 0)
+
+    def test_static_statespace_recovery(self):
+        # no states: B is empty and D carries the whole gain
+        ms = validate_c2(FIVE_STATE)
+        R = StateSpace.static_gain([[3.0, -1.0, -3.0, 1.0, 0.0]])
+        K = recover_controller(R, ms)
+        assert K.n_states == 0
+        assert K.D.tolist() == [[3.0, 1.0]]
+
 
 class TestDecompose:
     def test_single_component_identity_block(self, rng):
@@ -293,16 +319,6 @@ class TestDecompose:
             for k in range(R.horizon + 1):
                 lhs = dec.chain_gains[ci].taps[k] @ chain_matrix(len(comp))
                 assert np.abs(lhs - dec.blocks[ci].taps[k][:, perm]).max() <= 1e-12
-
-    def test_witness_materialization(self, rng):
-        ms = validate_c2(FIVE_STATE)
-        R = rand_relative_fir(rng, ms, 1, 2)
-        dec = decompose(R, ms, materialize_witnesses=True)
-        assert dec.witnesses is not None
-        pair_sets = [set(w.keys()) for w in dec.witnesses]
-        assert pair_sets[0] == {(0, 2)}
-        assert pair_sets[1] == {(1, 3)}
-        assert pair_sets[2] == set()
 
 
 def _recover_loops(R, ms):

@@ -15,7 +15,6 @@ from relsyn import (
     build_tilde_plant,
     circulant_reduce,
     close_loop,
-    eliminate_q0,
     fir_add,
     fir_compose,
     h2_norm_fir,
@@ -32,7 +31,7 @@ from relsyn import (
 )
 from relsyn.solver import _free_columns
 
-from conftest import ORACLE_HORIZON
+from conftest import ORACLE_HORIZON, eliminate_q0
 
 
 def objective_value(prob, Q: FirSystem) -> float:

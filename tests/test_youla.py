@@ -19,6 +19,7 @@ from relsyn import (
     laplacian_rnom,
     make_t_systems,
     markov,
+    nominal_verdicts,
     q_from_r,
     r_from_q,
     ring_adjacency,
@@ -120,6 +121,20 @@ class TestMakeTSystems:
             make_t_systems(tilde, StateSpace.static_gain(-np.eye(3)), ms)
         with pytest.raises(NominalNotStabilizingError):
             make_t_systems(tilde, StateSpace.static_gain(np.zeros((3, 3))), ms)
+
+    def test_verdicts_fail_where_make_t_systems_raises(self):
+        _, tilde, ms, yd = ring_setup()
+        unstable = StateSpace([[1.5]], np.zeros((1, 3)), np.zeros((3, 1)), np.zeros((3, 3)))
+        assert nominal_verdicts(tilde, unstable, ms)[0] is False
+        assert nominal_verdicts(tilde, StateSpace.static_gain(-np.eye(3)), ms)[:2] == (
+            True,
+            False,
+        )
+        zero = StateSpace.static_gain(np.zeros((3, 3)))
+        assert nominal_verdicts(tilde, zero, ms)[:3] == (True, True, False)
+        *verdicts, cl = nominal_verdicts(tilde, yd.r_nom, ms)
+        assert verdicts == [True, True, True]
+        assert np.array_equal(cl.A, yd.t1.A)
 
 
 class TestParameterMaps:
