@@ -444,6 +444,8 @@ class SweepConfig:
             raise DomainError("every ring size must be at least 2")
         if any(not 0.0 <= g <= 1.0 for g in gs):
             raise DomainError("every gamma must lie in [0, 1]")
+        if self.horizon_q < 0:
+            raise DomainError("horizon_q must be nonnegative")
         object.__setattr__(self, "n_values", ns)
         object.__setattr__(self, "gamma_values", gs)
 

@@ -13,7 +13,12 @@ gathered from them in one indexing step, and the Gram system is solved
 by Cholesky, falling back to QR with column pivoting when G is singular
 to working precision.  The general path takes as basis the pair
 responses T2 e_i e_j' T3 of every entry of Q, with Kronecker identities
-sized by the inputs of T2 and T3; the circulant path handles
+sized by the inputs of T2 and T3.  When the plant is diagonal in the
+eigenbasis of a symmetric static nominal (consensus plants on any
+graph), that basis splits into n^2 decoupled 3-state mode pairs, and
+the lag table comes from n^2 batched 3-state Stein solves and K + 1
+matrix products instead of one Stein solve on O(n^2) states; any other
+plant falls back to the joint system.  The circulant path handles
 the ring-consensus family by reducing the matrix-valued problem to the
 first column of Q, whose lift onto the free parameters is a delay per
 column rather than states of the basis."""
@@ -29,6 +34,7 @@ import scipy.linalg
 
 from .errors import DimensionError, DomainError, StructureViolationError
 from .lti import (
+    STABILITY_TOL,
     FirSystem,
     Plant,
     StateSpace,
@@ -56,6 +62,9 @@ DEFAULT_Q_HORIZON = 32
 
 #: Entries this small may be snapped to exact zeros during cleanup.
 _SNAP_TOL = 1e-9
+
+#: Relative tolerance of the eigenbasis route's gate (:func:`_modal_lags`).
+_MODAL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +235,20 @@ def _assemble_q(pairs, inputs, delays, x, horizon: int, rows: int, cols: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _gram_solve(basis: StateSpace, target: StateSpace, inputs, delays) -> LstsqResult:
+def _gram_solve(L: np.ndarray, inputs, delays) -> LstsqResult:
     """Minimize ||A x + target|| over columns of delayed basis responses.
 
-    `basis` has one input per basis response and `target` a single
-    input; both share the outputs.  Column a of A is basis response
-    inputs[a] delayed by delays[a] taps, over the whole infinite horizon;
-    the solve paths fold any difference of responses into the basis's
-    input matrix.  A is never formed: A'A, A'b and ||b||^2 (b = -target)
-    are entries of the lag table of :func:`_lags`, gathered by
+    `L` is the lag table of the joint system [basis | target] up to the
+    largest delay (see :func:`_lags`): the basis has one input per basis
+    response, the target a single input, and both share the outputs.
+    Column a of A is basis response inputs[a] delayed by delays[a] taps,
+    over the whole infinite horizon; the solve paths fold any difference
+    of responses into the basis's input matrix.  A is never formed: A'A,
+    A'b and ||b||^2 (b = -target) are entries of L, gathered by
     :func:`_gram_system`, and the Gram system is solved by
     :func:`_solve_gram`.  The result carries ||A x - b|| as `residual`
     and ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
     """
-    K = int(delays.max()) if delays.size else 0
-    L = _lags(basis, target, K)
     G, c = _gram_system(L, inputs, delays)
     sol = _solve_gram(G, c)
     x = sol.x
@@ -345,6 +353,12 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     of squared entries over all taps is minimized through the Gram
     kernel, and the output-feedback controller is recovered from the
     optimal state-feedback map.
+
+    The lag table comes from :func:`_modal_lags` when the plant and a
+    symmetric static nominal share one eigenbasis (consensus plants on
+    any graph): n^2 batched 3-state Stein solves, then K + 1 matrix
+    products, K the largest column delay.  Otherwise :func:`_stein_lags`
+    solves one Stein equation on the O(n^2)-state joint system.
     """
     yd = prob.yd
     T_Q = prob.horizon_q
@@ -352,7 +366,24 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     n = yd.plant.n_states
 
     pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
-    # input p of the basis: pair response (i, j) minus pair response (i, dep)
+    K = int(delays.max(initial=0))
+    L = _modal_lags(yd, pairs, K)
+    if L is None:
+        L = _stein_lags(yd, pairs, K)
+    lsres = _gram_solve(L, inputs, delays)
+
+    q_opt = _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n)
+    return _finalize(prob, q_opt, lsres, objective=lsres.residual)
+
+
+def _stein_lags(yd: YoulaData, pairs, K: int) -> np.ndarray:
+    """Lag table of [folded pair responses | vec T1] by :func:`_lags`.
+
+    Input p of the basis is the pair response of (i, j) minus that of
+    (i, dep), for row p = (i, j, dep) of `pairs`.
+    """
+    l = yd.plant.n_ctrl
+    n = yd.plant.n_states
     E = np.zeros((n * l, len(pairs)))
     E[pairs[:, 1] * l + pairs[:, 0], np.arange(len(pairs))] = 1.0
     E[pairs[:, 2] * l + pairs[:, 0], np.arange(len(pairs))] = -1.0
@@ -365,11 +396,101 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
         np.kron(eye_w, t1.C),
         t1.D.T.reshape(-1, 1),
     )
-    basis = _fold_inputs(_pair_responses(yd), E)
-    lsres = _gram_solve(basis, target, inputs, delays)
+    return _lags(_fold_inputs(_pair_responses(yd), E), target, K)
 
-    q_opt = _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n)
-    return _finalize(prob, q_opt, lsres, objective=lsres.residual)
+
+def _modal_lags(yd: YoulaData, pairs, K: int):
+    """The table of :func:`_stein_lags` from the eigenbasis of the
+    nominal, or None when the plant is not diagonal in it.
+
+    With a symmetric static nominal D and V = eigh(D), suppose V'XV is
+    diagonal for A + B2 D, B1, B2, each n-row block of C1 + D12 D and of
+    D12, and the disagreement projector.  Then T1, T2 and T3p act on
+    mode p as scalar filters tau1_p, tau2_p and tau3_p (one per output
+    block for T1 and T2).  Pair response (i, j) is the sum over mode
+    pairs (p, q) of V_ip V_jq tau2_p tau3_q along an output direction
+    that is orthogonal to those of the other mode pairs, and vec T1 is
+    the sum over p of tau1_p along the direction of (p, p).  So with
+    M[(p, q), a] = V_ip (V_jq - V_dep,q) for folded input a = (i, j, dep),
+    L_basis(d) = M' diag(h00(d)) M, where h(d) is the lag table of mode
+    pair (p, q): three states, the basis input tau3_q then tau2_p and,
+    when p = q, the target input tau1_p.  A mode on or outside the unit
+    circle (marginal agreement modes) must carry no state in any of the
+    three maps; it then gets pole 0.
+    """
+    plant = yd.plant
+    n = plant.n_states
+    D = yd.r_nom.D
+    if (
+        yd.r_nom.n_states
+        or plant.n_ctrl != n
+        or plant.n_dist != n
+        or plant.n_perf % n
+        or np.abs(D - D.T).max() > _MODAL_TOL * np.linalg.norm(D)
+    ):
+        return None
+    V = np.linalg.eigh(D)[1]
+    P = yd.disagreement_basis @ yd.disagreement_basis.T
+    X = np.concatenate(
+        [
+            np.stack([plant.A + plant.B2 @ D, plant.B1, plant.B2, P]),
+            (plant.C1 + plant.D12 @ D).reshape(-1, n, n),
+            plant.D12.reshape(-1, n, n),
+        ]
+    )
+    Y = V.T @ X @ V
+    diag = np.diagonal(Y, axis1=1, axis2=2)
+    off = np.abs(Y - diag[:, :, None] * np.eye(n)).max(axis=(1, 2))
+    if np.any(off > _MODAL_TOL * np.linalg.norm(X, axis=(1, 2))):
+        return None
+    a, b1, b2, pi = diag[:4]
+    c, e = np.split(diag[4:], 2)  # (blocks, n): C1 + D12 D and D12
+    cb1, cb2, pb1 = c * b1, c * b2, pi * b1
+    marginal = np.abs(a) >= 1.0 - STABILITY_TOL
+    for prod in (cb1, cb2, pb1):
+        if np.abs(prod[..., marginal]).max(initial=0.0) > _MODAL_TOL * np.linalg.norm(prod):
+            return None
+        prod[..., marginal] = 0.0
+    a = np.where(marginal, 0.0, a)
+
+    # mode pair (p, q) at index p * n + q, states (x3, x2, x1): x3 is
+    # tau3_q on the basis input, x2 is tau2_p driven by x3's output
+    # pb1_q x3, and x1 is tau1_p on the target input
+    N = n * n
+    p, q = np.divmod(np.arange(N), n)
+    A = np.zeros((N, 3, 3))
+    A[:, 0, 0] = a[q]
+    A[:, 1, 0] = pb1[q]
+    A[:, 1, 1] = A[:, 2, 2] = a[p]
+    B = np.zeros((N, 3, 2))
+    B[:, 0, 0] = 1.0
+    B[:, 2, 1] = p == q
+    C = np.zeros((N, len(c), 3))
+    C[:, :, 0] = -(e[:, p] * pb1[q]).T
+    C[:, :, 1] = -cb2[:, p].T
+    C[:, :, 2] = cb1[:, p].T
+    # W = A'WA + C'C by one 9 x 9 Kronecker solve per mode pair; both
+    # inputs have D = 0, so h(d) = B'(A')^d W B as in _lags
+    At = A.transpose(0, 2, 1)
+    kron = np.einsum("kij,kab->kiajb", At, At).reshape(N, 9, 9)
+    W = np.linalg.solve(np.eye(9) - kron, (C.transpose(0, 2, 1) @ C).reshape(N, 9, 1))
+    W = W.reshape(N, 3, 3)
+    W = 0.5 * (W + W.transpose(0, 2, 1))
+    h = np.empty((K + 1, N, 2, 2))
+    AtdWB = W @ B
+    for d in range(K + 1):
+        h[d] = B.transpose(0, 2, 1) @ AtdWB
+        AtdWB = At @ AtdWB
+
+    i, j, dep = pairs.T
+    m = len(pairs)
+    M = (V[i][:, :, None] * (V[j] - V[dep])[:, None, :]).reshape(m, N).T
+    out = np.empty((K + 1, m + 1, m + 1))
+    out[:, :m, :m] = (M.T * h[:, None, :, 0, 0]) @ M
+    out[:, :m, m] = h[:, :, 0, 1] @ M
+    out[:, m, :m] = h[:, :, 1, 0] @ M
+    out[:, m, m] = h[:, :, 1, 1].sum(axis=1)
+    return out
 
 
 def _pair_responses(yd: YoulaData) -> StateSpace:
@@ -555,7 +676,8 @@ def solve_ring_circulant(
     red = circulant_reduce(prob)
     dist = np.array(red.param_delays)
     delays, inputs = np.nonzero(np.arange(horizon_q + 1)[:, None] >= dist)
-    lsres = _gram_solve(red.basis, red.target, inputs, delays)
+    L = _lags(red.basis, red.target, int(delays.max(initial=0)))
+    lsres = _gram_solve(L, inputs, delays)
 
     params = np.zeros((n - 1, horizon_q + 1))
     params[inputs, delays - dist[inputs]] = lsres.x

@@ -83,18 +83,25 @@ def rand_relative_fir_exact(rng, ms, l, horizon, span=8):
     return FirSystem(ints / span)
 
 
-def consensus_plant(C2, gamma):
-    """x+ = x + u + w, z = [(1-gamma) deviation; gamma u], y = C2 x."""
+def consensus_plant(C2, gamma, b2=None):
+    """x+ = x + u + w, z = [(1-gamma) deviation; gamma u], y = C2 x; with
+    `b2` the actuator gains, x+ = x + diag(b2) u + w."""
     n = C2.shape[1]
     eye, zero = np.eye(n), np.zeros((n, n))
     return Plant(
         A=eye,
         B1=eye,
-        B2=eye,
+        B2=eye if b2 is None else np.diag(b2),
         C1=np.vstack([(1.0 - gamma) * (eye - np.ones((n, n)) / n), zero]),
         D12=np.vstack([zero, gamma * eye]),
         C2=C2,
     )
+
+
+def actuator_gains(n):
+    """Distinct actuator gains 0.6..1.4: a consensus plant that no
+    eigenbasis of the Laplacian diagonalizes."""
+    return np.linspace(0.6, 1.4, n)
 
 
 #: Taps of the truncated-FIR oracles.  On the slowest problem they check,
@@ -104,7 +111,7 @@ def consensus_plant(C2, gamma):
 ORACLE_HORIZON = 256
 
 
-def consensus_problem(C2, gamma, horizon_q):
+def consensus_problem(C2, gamma, horizon_q, b2=None):
     """The consensus plant with the Laplacian nominal and hop-distance
     delays of the sensing graph."""
     n = C2.shape[1]
@@ -112,7 +119,7 @@ def consensus_problem(C2, gamma, horizon_q):
     for row in C2:
         i, j = np.flatnonzero(row)
         adj[i, j] = adj[j, i] = 1.0
-    plant = consensus_plant(C2, gamma)
+    plant = consensus_plant(C2, gamma, b2)
     ms = validate_c2(C2)
     yd = make_t_systems(build_tilde_plant(plant), laplacian_rnom(adj), ms)
     return SynthesisProblem(

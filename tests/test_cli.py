@@ -108,6 +108,22 @@ def test_ring_sweep_config_file(tmp_path):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_sweep_horizon_is_a_typed_error(tmp_path, capsys, source):
+    out_csv = tmp_path / "sweep.csv"
+    if source == "flag":
+        argv = ["ring-sweep", "--n", "3", "--horizon-q", "-1", "--out", str(out_csv)]
+    else:
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"n_values = 3\nhorizon_q = -1\noutput_path = {out_csv}\n")
+        argv = ["ring-sweep", "--config", str(cfgfile)]
+    assert main(argv + ["--no-plot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "horizon_q" in err
+    assert not out_csv.exists()
+
+
 def test_simulate_cli(tmp_path, capsys):
     bundle = tmp_path / "ring.bundle"
     bundle.write_text("ring = 3\ngamma = 0.5\nhorizon_q = 8\n")

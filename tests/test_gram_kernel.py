@@ -37,6 +37,7 @@ from relsyn.solver import (
 
 from conftest import (
     ORACLE_HORIZON,
+    actuator_gains,
     consensus_problem,
     eliminate_q0,
     rand_connected_c2,
@@ -106,9 +107,12 @@ def _assert_agrees(res, J, Q):
 
 @pytest.mark.parametrize("gamma", [0.2, 0.5])
 def test_general_path_matches_dense_qr(rng, gamma):
+    # the consensus plant takes the eigenbasis lag table and the plant
+    # with distinct actuator gains the Stein solve on the joint system
     C2 = rand_connected_c2(rng, 5, extra_edges=2)
-    prob = consensus_problem(C2, gamma, 8)
-    _assert_agrees(solve(prob), *dense_general(prob))
+    for b2 in (None, actuator_gains(5)):
+        prob = consensus_problem(C2, gamma, 8, b2=b2)
+        _assert_agrees(solve(prob), *dense_general(prob))
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -221,7 +225,8 @@ def test_general_solution_satisfies_compiled_constraints(rng):
 
 def test_stein_system_keeps_its_size(monkeypatch, rng):
     # the general basis realizes (I (x) T2)(T3' (x) I) and the ring basis
-    # T2 T3 alone: neither the 3n(n-1) order nor the lift enters the solve
+    # T2 T3 alone: neither the 3n(n-1) order nor the lift enters the solve;
+    # a consensus problem takes the eigenbasis route and no Stein solve
     import relsyn.solver as solver
 
     sizes = []
@@ -232,7 +237,10 @@ def test_stein_system_keeps_its_size(monkeypatch, rng):
         return original(basis, target, K)
 
     monkeypatch.setattr(solver, "_lags", spy)
-    prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
+    C2 = rand_connected_c2(rng, 5, extra_edges=2)
+    solve(consensus_problem(C2, 0.2, 8))
+    assert sizes == []
+    prob = consensus_problem(C2, 0.2, 8, b2=actuator_gains(5))
     solve(prob)
     ring = build_ring_problem(12, 0.4, 32)
     solve_ring_circulant(12, 0.4, 32)
