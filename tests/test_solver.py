@@ -376,23 +376,19 @@ def h2_norm_split(t1: StateSpace, t2: StateSpace, q: FirSystem, t3: StateSpace) 
     observability Gramian of that system at the flushed state.
     """
     h = q.horizon
-    F3 = markov(t3, h)
-    QT3 = fir_compose(q, F3, horizon=h)
+    QT3 = fir_compose(q, markov(t3, h), horizon=h)
     head = fir_add(markov(t1, h), fir_compose(markov(t2, h), QT3, horizon=h))
-    # u2(t) = gamma x3(t - h) for t > h
-    gamma = sum(
+    # for t > h, Q's output at t is q_read @ x3(t - h)
+    q_read = sum(
         q.taps[k] @ t3.C @ np.linalg.matrix_power(t3.A, h - k) for k in range(h + 1)
     )
     x2 = np.zeros((t2.n_states, t3.n_inputs))
     for t in range(h + 1):
         x2 = t2.A @ x2 + t2.B @ QT3.taps[t]
-    n1, n2, n3 = t1.n_states, t2.n_states, t3.n_states
-    A = np.zeros((n1 + n2 + n3,) * 2)
-    A[:n1, :n1] = t1.A
-    A[n1 : n1 + n2, n1 : n1 + n2] = t2.A
-    A[n1 : n1 + n2, n1 + n2 :] = t2.B @ gamma
-    A[n1 + n2 :, n1 + n2 :] = t3.A
-    C = np.hstack([t1.C, t2.C, t2.D @ gamma])
+    n1, n2 = t1.n_states, t2.n_states
+    A = scipy.linalg.block_diag(t1.A, t2.A, t3.A)
+    A[n1 : n1 + n2, n1 + n2 :] = t2.B @ q_read
+    C = np.hstack([t1.C, t2.C, t2.D @ q_read])
     W = scipy.linalg.solve_discrete_lyapunov(A.T, C.T @ C)
     S = np.vstack([np.linalg.matrix_power(t1.A, h) @ t1.B, x2, t3.B])
     return math.sqrt(float(np.sum(head.taps**2)) + float(np.trace(S.T @ W @ S)))
