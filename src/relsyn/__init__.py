@@ -54,7 +54,6 @@ from .measurement import (
 )
 from .solver import (
     DEFAULT_Q_HORIZON,
-    CirculantReduction,
     LstsqResult,
     SynthesisProblem,
     SynthesisResult,

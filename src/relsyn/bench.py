@@ -22,9 +22,8 @@ from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
     SynthesisResult,
-    _clean_r_fir,
+    _clean_r,
     combined_r_structure,
-    recovered_r_fir,
     recovered_structure,
     solve,
     solve_ring_circulant,
@@ -149,8 +148,8 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
     prob = SynthesisProblem(yd=yd, structure=uptri, ms=ms, horizon_q=horizon_q)
     res = solve(prob)
 
-    r_fir = recovered_r_fir(yd, res.q_opt, horizon_q + 2 * n)
-    r_clean = _clean_r_fir(r_fir, uptri, ms)
+    # with a zero nominal, R's cleanup bound is the structure itself
+    r_clean = _clean_r(prob, res.q_opt)
     K = star_recover_upper_triangular(r_clean, n)
     in_structure = membership(K, S)
     kc2 = fir_compose(K, FirSystem(ms.c2[np.newaxis]))

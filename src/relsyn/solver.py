@@ -1,27 +1,23 @@
 """Least-squares solution of the structured model-matching program.
 
 The objective ||T1 + T2 Q T3|| in the H2 norm is affine in the FIR
-coefficients of the free parameter Q.  After eliminating the equality
-constraints (structural zeros and per-component zero row sums) it is a
-linear least-squares problem min ||A x - b|| over infinitely many rows,
-whose every column is one input of a basis system delayed by a whole
-number of taps: a difference of two responses is folded into the
-basis's input matrix.  One kernel serves both solve paths: A'A, A'b and
-||b||^2 are lags of the joint system [basis | target], read exactly off
-its observability Gramian (one Stein solve, no truncation), G is
+coefficients of the free parameter Q.  Every solve is a column map
+(dirs, inputs, delays): column a of the least-squares system moves Q
+along the l x n direction dirs[inputs[a]], delayed by delays[a] taps.
+The general path takes as directions e_i (e_j - e_dep)', one per free
+entry of Q left after eliminating the equality constraints (structural
+zeros and per-component zero row sums); the ring-consensus family takes
+the n - 1 circulant matrices that span the circulant, relative Q.  One
+kernel serves both: A'A, A'b and ||b||^2 are lags of the joint system
+[direction responses | vec T1], exact over the infinite horizon, G is
 gathered from them in one indexing step, and the Gram system is solved
 by Cholesky, falling back to QR with column pivoting when G is singular
-to working precision.  The general path takes as basis the pair
-responses T2 e_i e_j' T3 of every entry of Q, with Kronecker identities
-sized by the inputs of T2 and T3.  When the plant is diagonal in the
-eigenbasis of a symmetric static nominal (consensus plants on any
-graph), that basis splits into n^2 decoupled 3-state mode pairs, and
-the lag table comes from n^2 batched 3-state Stein solves and K + 1
-matrix products instead of one Stein solve on O(n^2) states; any other
-plant falls back to the joint system.  The circulant path handles
-the ring-consensus family by reducing the matrix-valued problem to the
-first column of Q, whose lift onto the free parameters is a delay per
-column rather than states of the basis."""
+to working precision.  When the plant is diagonal in the eigenbasis V of
+a symmetric static nominal (consensus plants on any graph, the ring
+among them), the table comes from batched 3-state Stein solves over the
+mode pairs (p, q) that some direction V' dirs V or the target touches,
+and K + 1 matrix products; any other plant takes one Stein solve on the
+O(n^2)-state joint system of the pair responses T2 e_i e_j' T3."""
 
 from __future__ import annotations
 
@@ -63,7 +59,8 @@ DEFAULT_Q_HORIZON = 32
 #: Entries this small may be snapped to exact zeros during cleanup.
 _SNAP_TOL = 1e-9
 
-#: Relative tolerance of the eigenbasis route's gate (:func:`_modal_lags`).
+#: Tolerance of the eigenbasis route (:func:`_modal_lags`): relative in its
+#: gate, and absolute on V' dirs V, whose directions have unit entries.
 _MODAL_TOL = 1e-12
 
 
@@ -204,34 +201,30 @@ def _free_columns(structure: InfoStructure, indicators, horizon: int) -> tuple:
     min_delay[i, .] is the dependent entry of the zero-sum group at every
     tap.  It is live whenever any other column of the group is, so it
     absorbs minus the sum of the free entries, and the forced zeros never
-    enter.  Returns (pairs, inputs, delays): row p of `pairs` is a free
-    pair (i, j, dep), and column a of the least-squares system is the
-    coefficient of pair inputs[a] at tap delays[a], for every tap from
-    min_delay[i, j] to `horizon`.
+    enter.  Returns the column map (dirs, inputs, delays): dirs[p] is
+    e_i (e_j - e_dep)' for free pair p = (i, j), and column a of the
+    least-squares system moves Q along dirs[inputs[a]] at tap delays[a],
+    for every tap from min_delay[i, j] to `horizon`.
     """
     md = structure.min_delay
-    others = np.arange(md.shape[1])
+    l, n = md.shape
+    others = np.arange(n)
     pairs = [np.zeros((0, 3), dtype=int)]
     for ind in np.atleast_2d(indicators) != 0:
         dep = np.argmin(np.where(ind, md, np.inf), axis=1)
         i, j = np.nonzero(ind & (md <= horizon) & (others != dep[:, None]))
         pairs.append(np.column_stack([i, j, dep[i]]))
-    pairs = np.concatenate(pairs)
-    start = md[pairs[:, 0], pairs[:, 1]]
-    delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= start)
-    return pairs, inputs, delays
-
-
-def _assemble_q(pairs, inputs, delays, x, horizon: int, rows: int, cols: int) -> FirSystem:
-    taps = np.zeros((horizon + 1, rows, cols))
-    i, j, dep = pairs[inputs].T
-    np.add.at(taps, (delays, i, j), x)
-    np.add.at(taps, (delays, i, dep), -x)
-    return FirSystem(taps)
+    i, j, dep = np.concatenate(pairs).T
+    p = np.arange(len(i))
+    dirs = np.zeros((len(i), l, n))
+    dirs[p, i, j] = 1.0
+    dirs[p, i, dep] = -1.0
+    delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= md[i, j])
+    return dirs, inputs, delays
 
 
 # ---------------------------------------------------------------------------
-# the Gram kernel shared by both paths
+# the Gram kernel shared by every column map
 # ---------------------------------------------------------------------------
 
 
@@ -242,8 +235,8 @@ def _gram_solve(L: np.ndarray, inputs, delays) -> LstsqResult:
     largest delay (see :func:`_lags`): the basis has one input per basis
     response, the target a single input, and both share the outputs.
     Column a of A is basis response inputs[a] delayed by delays[a] taps,
-    over the whole infinite horizon; the solve paths fold any difference
-    of responses into the basis's input matrix.  A is never formed: A'A,
+    over the whole infinite horizon; basis response p is the response of
+    the column map's direction p.  A is never formed: A'A,
     A'b and ||b||^2 (b = -target) are entries of L, gathered by
     :func:`_gram_system`, and the Gram system is solved by
     :func:`_solve_gram`.  The result carries ||A x - b|| as `residual`
@@ -338,7 +331,7 @@ def _lags(basis: StateSpace, target: StateSpace, K: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# general path
+# the solve shared by every column map
 # ---------------------------------------------------------------------------
 
 
@@ -348,45 +341,46 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     Each Markov parameter of the matched map is an affine function of the
     free coefficients that remain after constraint elimination.  A free
     coefficient at tap k of entry (i, j), paired with the dependent entry
-    (i, dep) of its zero-sum group, moves the objective along the pair
-    response of (i, j) minus that of (i, dep), delayed by k taps; the sum
-    of squared entries over all taps is minimized through the Gram
-    kernel, and the output-feedback controller is recovered from the
-    optimal state-feedback map.
-
-    The lag table comes from :func:`_modal_lags` when the plant and a
-    symmetric static nominal share one eigenbasis (consensus plants on
-    any graph): n^2 batched 3-state Stein solves, then K + 1 matrix
-    products, K the largest column delay.  Otherwise :func:`_stein_lags`
-    solves one Stein equation on the O(n^2)-state joint system.
+    (i, dep) of its zero-sum group, moves Q along e_i (e_j - e_dep)',
+    delayed by k taps (:func:`_free_columns`); :func:`_solve_columns`
+    minimizes over that column map and recovers the output-feedback
+    controller from the optimal state-feedback map.
     """
-    yd = prob.yd
-    T_Q = prob.horizon_q
-    l = yd.plant.n_ctrl
-    n = yd.plant.n_states
+    return _solve_columns(prob, *_free_columns(prob.structure, prob.ms.indicators, prob.horizon_q))
 
-    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
+
+def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisResult:
+    """Minimize the H2 norm over the column map (dirs, inputs, delays).
+
+    Column a moves Q along the l x n direction dirs[inputs[a]], delayed
+    by delays[a] taps.  The lag table of [direction responses | vec T1]
+    comes from :func:`_modal_lags` when the plant and a symmetric static
+    nominal share one eigenbasis (consensus plants on any graph): batched
+    3-state Stein solves, then K + 1 matrix products, K the largest
+    column delay.  Otherwise :func:`_stein_lags` solves one Stein equation
+    on the O(n^2)-state joint system.  Each (delay, input) pair names at
+    most one column, so Q's taps are the coefficients of each tap times
+    the stacked directions.
+    """
     K = int(delays.max(initial=0))
-    L = _modal_lags(yd, pairs, K)
+    L = _modal_lags(prob.yd, dirs, K)
     if L is None:
-        L = _stein_lags(yd, pairs, K)
+        L = _stein_lags(prob.yd, dirs, K)
     lsres = _gram_solve(L, inputs, delays)
+    coef = np.zeros((prob.horizon_q + 1, len(dirs)))
+    coef[delays, inputs] = lsres.x
+    return _finalize(prob, FirSystem(np.tensordot(coef, dirs, axes=1)), lsres)
 
-    q_opt = _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n)
-    return _finalize(prob, q_opt, lsres, objective=lsres.residual)
 
+def _stein_lags(yd: YoulaData, dirs, K: int) -> np.ndarray:
+    """Lag table of [direction responses | vec T1] by :func:`_lags`.
 
-def _stein_lags(yd: YoulaData, pairs, K: int) -> np.ndarray:
-    """Lag table of [folded pair responses | vec T1] by :func:`_lags`.
-
-    Input p of the basis is the pair response of (i, j) minus that of
-    (i, dep), for row p = (i, j, dep) of `pairs`.
+    Input p of the basis is T2 dirs[p] T3, the pair responses weighted by
+    the entries of dirs[p].
     """
-    l = yd.plant.n_ctrl
-    n = yd.plant.n_states
-    E = np.zeros((n * l, len(pairs)))
-    E[pairs[:, 1] * l + pairs[:, 0], np.arange(len(pairs))] = 1.0
-    E[pairs[:, 2] * l + pairs[:, 0], np.arange(len(pairs))] = -1.0
+    m, l, n = dirs.shape
+    # input j * l + i of the pair responses is entry (i, j) of Q
+    E = dirs.transpose(0, 2, 1).reshape(m, n * l).T
     t1 = yd.t1_stable
     eye_w = np.eye(t1.n_inputs)
     # vec(T1) = (I (x) T1) vec(I): one input feeding every column of T1
@@ -396,10 +390,12 @@ def _stein_lags(yd: YoulaData, pairs, K: int) -> np.ndarray:
         np.kron(eye_w, t1.C),
         t1.D.T.reshape(-1, 1),
     )
-    return _lags(_fold_inputs(_pair_responses(yd), E), target, K)
+    pairs = _pair_responses(yd)
+    basis = StateSpace(pairs.A, pairs.B @ E, pairs.C, pairs.D @ E)
+    return _lags(basis, target, K)
 
 
-def _modal_lags(yd: YoulaData, pairs, K: int):
+def _modal_lags(yd: YoulaData, dirs, K: int):
     """The table of :func:`_stein_lags` from the eigenbasis of the
     nominal, or None when the plant is not diagonal in it.
 
@@ -407,16 +403,18 @@ def _modal_lags(yd: YoulaData, pairs, K: int):
     diagonal for A + B2 D, B1, B2, each n-row block of C1 + D12 D and of
     D12, and the disagreement projector.  Then T1, T2 and T3p act on
     mode p as scalar filters tau1_p, tau2_p and tau3_p (one per output
-    block for T1 and T2).  Pair response (i, j) is the sum over mode
-    pairs (p, q) of V_ip V_jq tau2_p tau3_q along an output direction
+    block for T1 and T2).  The response of direction X is the sum over
+    mode pairs (p, q) of (V'XV)_pq tau2_p tau3_q along an output direction
     that is orthogonal to those of the other mode pairs, and vec T1 is
     the sum over p of tau1_p along the direction of (p, p).  So with
-    M[(p, q), a] = V_ip (V_jq - V_dep,q) for folded input a = (i, j, dep),
-    L_basis(d) = M' diag(h00(d)) M, where h(d) is the lag table of mode
-    pair (p, q): three states, the basis input tau3_q then tau2_p and,
-    when p = q, the target input tau1_p.  A mode on or outside the unit
-    circle (marginal agreement modes) must carry no state in any of the
-    three maps; it then gets pole 0.
+    M[(p, q), a] = (V' dirs[a] V)_pq, L_basis(d) = M' diag(h00(d)) M,
+    where h(d) is the lag table of mode pair (p, q): three states, the
+    basis input tau3_q then tau2_p and, when p = q, the target input
+    tau1_p.  Only the pairs with p = q or an entry of M above
+    `_MODAL_TOL` are built: a circulant direction on the ring touches
+    only the pairs inside the nominal's eigenspaces.  A mode on or
+    outside the unit circle (marginal agreement modes) must carry no
+    state in any of the three maps; it then gets pole 0.
     """
     plant = yd.plant
     n = plant.n_states
@@ -453,11 +451,15 @@ def _modal_lags(yd: YoulaData, pairs, K: int):
         prod[..., marginal] = 0.0
     a = np.where(marginal, 0.0, a)
 
-    # mode pair (p, q) at index p * n + q, states (x3, x2, x1): x3 is
-    # tau3_q on the basis input, x2 is tau2_p driven by x3's output
+    # mode pair (p, q): M's row (V' dirs V)_pq; states (x3, x2, x1): x3
+    # is tau3_q on the basis input, x2 is tau2_p driven by x3's output
     # pb1_q x3, and x1 is tau1_p on the target input
-    N = n * n
-    p, q = np.divmod(np.arange(N), n)
+    m = len(dirs)
+    p, q = np.divmod(np.arange(n * n), n)
+    M = (V.T @ dirs @ V).reshape(m, n * n).T
+    keep = (p == q) | (np.abs(M) > _MODAL_TOL).any(axis=1)
+    p, q, M = p[keep], q[keep], M[keep]
+    N = len(p)
     A = np.zeros((N, 3, 3))
     A[:, 0, 0] = a[q]
     A[:, 1, 0] = pb1[q]
@@ -482,9 +484,6 @@ def _modal_lags(yd: YoulaData, pairs, K: int):
         h[d] = B.transpose(0, 2, 1) @ AtdWB
         AtdWB = At @ AtdWB
 
-    i, j, dep = pairs.T
-    m = len(pairs)
-    M = (V[i][:, :, None] * (V[j] - V[dep])[:, None, :]).reshape(m, N).T
     out = np.empty((K + 1, m + 1, m + 1))
     out[:, :m, :m] = (M.T * h[:, None, :, 0, 0]) @ M
     out[:, :m, m] = h[:, :, 0, 1] @ M
@@ -510,13 +509,8 @@ def _pair_responses(yd: YoulaData) -> StateSpace:
     return series(then, first)
 
 
-def _fold_inputs(sys: StateSpace, E: np.ndarray) -> StateSpace:
-    """sys(z) E: the inputs of `sys` driven through the static map E."""
-    return StateSpace(sys.A, sys.B @ E, sys.C, sys.D @ E)
-
-
 # ---------------------------------------------------------------------------
-# ring consensus family and the circulant fast path
+# ring consensus family and its circulant column map
 # ---------------------------------------------------------------------------
 
 
@@ -595,35 +589,18 @@ def _is_circulant(M: np.ndarray) -> bool:
     return bool(np.array_equal(M, M[:, 0][idx]))
 
 
-@dataclass(frozen=True)
-class CirculantReduction:
-    """Single-column form of a circulant synthesis problem.
+def circulant_reduce(prob: SynthesisProblem) -> tuple:
+    """Circulant column map of a circulant problem.
 
-    The objective satisfies ||T1 + T2 Q T3||^2 = scale * ||target +
-    sum over j, b of q_j[b] z^-(param_delays[j] + b) basis_j||^2 exactly.
-    `target` is the first column of T1, and input j of `basis` is the
-    response T2 T3 (e_(n-1-j) - e_0) of the free circulant parameter for
-    offset j + 1, whose lift column is that direction delayed by its ring
-    distance `param_delays[j]`.  The lift thus lives in the column delays,
-    not in the basis's states.
-    Parameter j has taps 0..`param_horizons[j]`.  Both systems are state
-    space, so the H2 norm is taken over the whole infinite horizon.
-    """
-
-    n: int
-    scale: float
-    target: StateSpace
-    basis: StateSpace
-    param_delays: tuple
-    param_horizons: tuple
-
-
-def circulant_reduce(prob: SynthesisProblem) -> CirculantReduction:
-    """Rewrite a circulant problem over the first column of Q.
-
-    Circulant transfer matrices commute and are determined by one column,
-    so T2 Q T3 e1 = T2 T3 (Q e1) and only Q e1 enters the objective.
-    Rejects non-circulant plants, nominal controllers or structures.
+    Circulant transfer matrices commute, and by symmetry and convexity
+    some optimal Q is circulant, so the solve may range over the circulant
+    relative Q alone: spans of the n - 1 circulant matrices whose first
+    column is e_(n-1-j) - e_0, one per offset j + 1.  Returns the column
+    map (dirs, inputs, delays) of :func:`_solve_columns`: dirs stacks
+    those matrices for every offset whose ring distance (the structure's
+    delay) is at most horizon_q, and each has taps from that distance up
+    to horizon_q.  Rejects non-circulant plants, nominal controllers or
+    structures.
     """
     yd = prob.yd
     plant = yd.plant
@@ -640,67 +617,32 @@ def circulant_reduce(prob: SynthesisProblem) -> CirculantReduction:
     blocks.append(yd.r_nom.D)
     if not all(_is_circulant(M) for M in blocks):
         raise StructureViolationError("plant or nominal controller is not circulant")
-    if not _is_circulant(prob.structure.min_delay):
+    md = prob.structure.min_delay
+    if not _is_circulant(md):
         raise StructureViolationError("structure is not circulant")
 
-    offsets = np.arange(1, n)
-    directions = np.zeros((n, n - 1))
-    directions[n - offsets, offsets - 1] = 1.0
-    directions[0] = -1.0
-    dist = np.minimum(offsets, n - offsets)
-    first = StateSpace.static_gain(np.eye(plant.n_dist)[:, :1])
-    return CirculantReduction(
-        n=n,
-        scale=float(n),
-        target=series(yd.t1_stable, first),
-        basis=_fold_inputs(series(yd.t2_stable, yd.t3_projected), directions),
-        param_delays=tuple(int(d) for d in dist),
-        # -1: the parameter's ring distance exceeds horizon_q, so it has no taps
-        param_horizons=tuple(int(h) for h in np.maximum(prob.horizon_q - dist, -1)),
-    )
+    first = n - 1 - np.arange(n - 1)  # offset j + 1 sits in row n - 1 - j
+    first = first[md[first, 0] <= prob.horizon_q]
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    dirs = (idx == first[:, None, None]) - np.eye(n)
+    delays, inputs = np.nonzero(np.arange(prob.horizon_q + 1)[:, None] >= md[first, 0])
+    return dirs, inputs, delays
 
 
 def solve_ring_circulant(
     n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
 ) -> SynthesisResult:
-    """Solve the ring-consensus instance through the circulant reduction.
+    """Solve the ring-consensus instance over circulant Q.
 
-    Builds the ring problem, reduces the objective to the first column of
-    the circulant parameter, solves the unconstrained least squares over
-    the n-1 scalar FIR parameters through the Gram kernel (column (j, b)
-    is basis response j delayed by its ring distance plus b taps), and
-    expands the optimal column back to the full parameter before
-    recovering the output-feedback controller.
+    Builds the ring problem and hands its circulant column map
+    (:func:`circulant_reduce`) to the solve that :func:`solve` uses: the
+    n - 1 circulant parameters replace the n(n - 1) free entries of Q,
+    the ring passes the eigenbasis gate, and a circulant direction
+    touches only mode pairs inside the Laplacian's eigenspaces, at most
+    2n - 1 of the n^2, so the lag table costs O(n) 3-state Stein solves.
     """
     prob = build_ring_problem(n, gamma, horizon_q)
-    red = circulant_reduce(prob)
-    dist = np.array(red.param_delays)
-    delays, inputs = np.nonzero(np.arange(horizon_q + 1)[:, None] >= dist)
-    L = _lags(red.basis, red.target, int(delays.max(initial=0)))
-    lsres = _gram_solve(L, inputs, delays)
-
-    params = np.zeros((n - 1, horizon_q + 1))
-    params[inputs, delays - dist[inputs]] = lsres.x
-    params = [p[: h + 1] for p, h in zip(params, red.param_horizons)]
-    q_opt = _expand_circulant(red, params, horizon_q)
-    objective = math.sqrt(red.scale) * lsres.residual
-    return _finalize(prob, q_opt, lsres, objective=objective)
-
-
-def _expand_circulant(
-    red: CirculantReduction, params: list, horizon_q: int
-) -> FirSystem:
-    """First column from the lift's directions and delays, then the full
-    circulant parameter."""
-    n = red.n
-    column = np.zeros((horizon_q + 1, n))
-    for j, (pj, d) in enumerate(zip(params, red.param_delays), start=1):
-        hi = min(len(pj), horizon_q + 1 - d)
-        column[d : d + hi, 0] -= pj[:hi]
-        column[d : d + hi, n - j] += pj[:hi]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    taps = column[:, idx]
-    return FirSystem(taps)
+    return _solve_columns(prob, *circulant_reduce(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +731,7 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
     return fir_sub(rnom_fir, fir_lft(M, q, horizon))
 
 
-def _finalize(
-    prob: SynthesisProblem,
-    q_opt: FirSystem,
-    lsres: LstsqResult,
-    objective: float,
-) -> SynthesisResult:
-    yd = prob.yd
+def _finalize(prob: SynthesisProblem, q_opt: FirSystem, lsres: LstsqResult) -> SynthesisResult:
     ms = prob.ms
     violation = _constraint_violation(q_opt, ms)
     if violation > 1e-10:
@@ -804,19 +740,22 @@ def _finalize(
         )
     if not membership(q_opt, prob.structure):
         raise DomainError("synthesized parameter violates its structure")
-    horizon_k = _controller_horizon(prob)
-    r_fir = recovered_r_fir(yd, q_opt, horizon_k)
-    r_fir = _clean_r_fir(r_fir, combined_r_structure(prob.structure, yd), ms)
-    k_opt = recover_controller(r_fir, ms)
     return SynthesisResult(
         q_opt=q_opt,
-        objective=float(objective),
+        objective=lsres.residual,
         residual_gradient=lsres.gradient_norm,
         constraint_violation=violation,
-        k_opt=k_opt,
+        k_opt=recover_controller(_clean_r(prob, q_opt), ms),
         rank_deficient=lsres.rank_deficient,
-        yd=yd,
+        yd=prob.yd,
     )
+
+
+def _clean_r(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
+    """R's taps on the controller window, cleaned for exact recovery."""
+    yd = prob.yd
+    r_fir = recovered_r_fir(yd, q, _controller_horizon(prob))
+    return _clean_r_fir(r_fir, combined_r_structure(prob.structure, yd), prob.ms)
 
 
 def _controller_horizon(prob: SynthesisProblem) -> int:

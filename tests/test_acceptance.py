@@ -185,12 +185,11 @@ def test_criterion_6_solver_oracle():
     F1 = markov(yd.t1_stable, T_J)
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
-    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
+    dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
     cols = []
-    for k, (i, j, dep) in zip(delays, pairs[inputs]):
+    for k, a in zip(delays, inputs):
         d = np.zeros((9, 3, 3))
-        d[k, i, j] = 1.0
-        d[k, i, dep] = -1.0
+        d[k] = dirs[a]
         contrib = fir_compose(fir_compose(F2, FirSystem(d), horizon=T_J), F3, horizon=T_J)
         cols.append(contrib.taps.reshape(-1))
     G = np.column_stack(cols)

@@ -1,7 +1,7 @@
 """The Gram kernel against dense QR on the materialized least-squares matrix.
 
-Both solve paths build the normal equations from the exact Gramian lags
-of the basis and target systems and never form A.  The oracle here forms
+Both column maps, general and circulant, build the normal equations from
+the exact Gramian lags of the basis and target systems and never form A.  The oracle here forms
 A column by column, as plain shifted FIR responses truncated at
 ORACLE_HORIZON taps, and solves it by QR with column pivoting;
 cond(G) = cond(A)^2, so this is the check that squaring lost nothing.
@@ -18,7 +18,6 @@ import pytest
 from relsyn import (
     FirSystem,
     build_ring_problem,
-    circulant_reduce,
     compile_constraints,
     fir_compose,
     least_squares,
@@ -27,8 +26,6 @@ from relsyn import (
     solve_ring_circulant,
 )
 from relsyn.solver import (
-    _assemble_q,
-    _expand_circulant,
     _free_columns,
     _lags,
     _pair_responses,
@@ -52,7 +49,7 @@ def dense_general(prob):
     l, n = yd.plant.n_ctrl, yd.plant.n_states
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
-    pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
+    dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, T_Q)
     pair = {}
     for i in range(l):
         for j in range(n):
@@ -60,28 +57,38 @@ def dense_general(prob):
             unit[0, i, j] = 1.0
             resp = fir_compose(fir_compose(F2, FirSystem(unit), horizon=T_J), F3, horizon=T_J)
             pair[i, j] = resp.taps.reshape(-1)
-    # column (k, i, j): the pair response minus its dependent's, k taps late
+    # column (k, a): the pair responses weighted by direction a, k taps late
     block = F2.n_outputs * F3.n_inputs
     cols = []
-    for k, (i, j, dep) in zip(delays, pairs[inputs]):
-        col = np.zeros_like(pair[i, j])
-        col[k * block :] = (pair[i, j] - pair[i, dep])[: col.size - k * block]
+    for k, a in zip(delays, inputs):
+        resp = sum(dirs[a][i, j] * pair[i, j] for i, j in zip(*np.nonzero(dirs[a])))
+        col = np.zeros_like(resp)
+        col[k * block :] = resp[: col.size - k * block]
         cols.append(col)
     A = np.column_stack(cols)
     lsres = least_squares(A, -markov(yd.t1_stable, T_J).taps.reshape(-1))
-    return lsres.residual, _assemble_q(pairs, inputs, delays, lsres.x, T_Q, l, n).taps
+    Q = np.zeros((T_Q + 1, l, n))
+    for k, a, x in zip(delays, inputs, lsres.x):
+        Q[k] += x * dirs[a]
+    return lsres.residual, Q
 
 
 def dense_circulant(n, gamma, horizon_q):
-    """(J, Q) from the materialized A of the circulant path."""
+    """(J, Q) from the materialized A of the first column of circulant Q.
+
+    Only Q e_0 enters the objective of a circulant problem, and J^2 is n
+    times its first-column value.  Parameter j (offset j + 1, ring
+    distance l_j) has taps 0..horizon_q - l_j, and the first column is
+    its FIR map through the lift `eliminate_q0`.
+    """
     prob = build_ring_problem(n, gamma, horizon_q)
-    red = circulant_reduce(prob)
     yd, T_J = prob.yd, ORACLE_HORIZON
     F2 = markov(yd.t2_stable, T_J)
     F3 = markov(yd.t3_projected, T_J)
     lift = eliminate_q0(n)  # the lift as an FIR map, not as column delays
+    horizons = [horizon_q - min(j, n - j) for j in range(1, n)]
     cols, index = [], []
-    for j, hj in enumerate(red.param_horizons):
+    for j, hj in enumerate(horizons):
         col = FirSystem(lift.taps[:, :, j : j + 1])
         resp = fir_compose(F2, fir_compose(F3, col, horizon=T_J), horizon=T_J)
         flat = resp.taps.reshape(T_J + 1, -1)
@@ -93,11 +100,12 @@ def dense_circulant(n, gamma, horizon_q):
     A = np.column_stack(cols)
     target = markov(yd.t1_stable, T_J).taps[:, :, 0]
     lsres = least_squares(A, -target.reshape(-1))
-    params = [np.zeros(h + 1) for h in red.param_horizons]
+    params = np.zeros((horizon_q + 1, n - 1, 1))
     for (j, b), val in zip(index, lsres.x):
-        params[j][b] = val
-    q = _expand_circulant(red, params, horizon_q)
-    return math.sqrt(n) * lsres.residual, q.taps
+        params[b, j, 0] = val
+    column = fir_compose(lift, FirSystem(params), horizon=horizon_q).taps[:, :, 0]
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return math.sqrt(n) * lsres.residual, column[:, idx]
 
 
 def _assert_agrees(res, J, Q):
@@ -224,9 +232,9 @@ def test_general_solution_satisfies_compiled_constraints(rng):
 
 
 def test_stein_system_keeps_its_size(monkeypatch, rng):
-    # the general basis realizes (I (x) T2)(T3' (x) I) and the ring basis
-    # T2 T3 alone: neither the 3n(n-1) order nor the lift enters the solve;
-    # a consensus problem takes the eigenbasis route and no Stein solve
+    # the general basis realizes (I (x) T2)(T3' (x) I): the 3n(n-1) order
+    # does not enter the solve; a consensus problem and the ring take the
+    # eigenbasis route and no Stein solve
     import relsyn.solver as solver
 
     sizes = []
@@ -242,14 +250,9 @@ def test_stein_system_keeps_its_size(monkeypatch, rng):
     assert sizes == []
     prob = consensus_problem(C2, 0.2, 8, b2=actuator_gains(5))
     solve(prob)
-    ring = build_ring_problem(12, 0.4, 32)
     solve_ring_circulant(12, 0.4, 32)
     t2, t3 = prob.yd.t2_stable, prob.yd.t3_projected
-    r2, r3 = ring.yd.t2_stable, ring.yd.t3_projected
-    assert sizes == [
-        t3.n_states * t2.n_inputs + t3.n_inputs * t2.n_states,
-        r2.n_states + r3.n_states,
-    ]
+    assert sizes == [t3.n_states * t2.n_inputs + t3.n_inputs * t2.n_states]
 
 
 class TestSolveGram:

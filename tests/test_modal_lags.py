@@ -1,10 +1,11 @@
-"""The eigenbasis lag table of the general path against the Stein solve.
+"""The eigenbasis lag table against the Stein solve.
 
-For a consensus plant the general path builds [folded pair responses |
-vec T1] from n^2 three-state mode pairs instead of one Stein solve on
-the O(n^2)-state joint system.  Wherever its gate accepts, the table
-must be the one `_stein_lags` computes; where the plant is not diagonal
-in the nominal's eigenbasis, the gate must decline.
+For a consensus plant the solve builds the table of [direction responses
+| vec T1] from three-state mode pairs instead of one Stein solve on the
+O(n^2)-state joint system, over the general column map and over the
+ring's circulant one.  Wherever its gate accepts, the table must be the
+one `_stein_lags` computes; where the plant is not diagonal in the
+nominal's eigenbasis, the gate must decline.
 """
 
 import numpy as np
@@ -13,10 +14,14 @@ import pytest
 from relsyn import (
     Plant,
     StateSpace,
+    build_ring_problem,
     build_tilde_plant,
+    circulant_reduce,
     delay_structure_from_adjacency,
+    h2_norm_lyap,
     laplacian_rnom,
     make_t_systems,
+    solve_ring_circulant,
     validate_c2,
 )
 from relsyn.solver import _free_columns, _modal_lags, _stein_lags
@@ -46,9 +51,12 @@ def _named_graphs():
 
 
 def _tables(yd, structure, ms, horizon_q=HORIZON_Q):
-    pairs, _, delays = _free_columns(structure, ms.indicators, horizon_q)
+    return _map_tables(yd, *_free_columns(structure, ms.indicators, horizon_q))
+
+
+def _map_tables(yd, dirs, inputs, delays):
     K = int(delays.max(initial=0))
-    return _modal_lags(yd, pairs, K), _stein_lags(yd, pairs, K)
+    return _modal_lags(yd, dirs, K), _stein_lags(yd, dirs, K)
 
 
 def _assert_same_table(modal, stein):
@@ -79,6 +87,41 @@ def test_short_horizon_and_gamma_one_match_stein():
     for gamma, horizon_q in ((0.4, 0), (1.0, 3)):
         prob = consensus_problem(C2, gamma, horizon_q)
         _assert_same_table(*_tables(prob.yd, prob.structure, prob.ms, horizon_q))
+
+
+@pytest.mark.parametrize("n, horizon_q", [(2, 32), (5, 32), (8, 32), (8, 2)])
+def test_circulant_map_matches_stein(n, horizon_q):
+    # horizon_q = 2 is shorter than the n = 8 ring's radius of 4
+    prob = build_ring_problem(n, 0.4, horizon_q)
+    _assert_same_table(*_map_tables(prob.yd, *circulant_reduce(prob)))
+
+
+def test_empty_column_maps_give_the_nominal():
+    # no free column: both routes return the 1 x 1 table ||T1||^2
+    C2 = _named_graphs()["path6"]
+    general = consensus_problem(C2, 0.4, 0)
+    ring = build_ring_problem(5, 0.4, 0)
+    for yd, colmap in (
+        (general.yd, _free_columns(general.structure, general.ms.indicators, 0)),
+        (ring.yd, circulant_reduce(ring)),
+    ):
+        assert len(colmap[0]) == 0
+        modal, stein = _map_tables(yd, *colmap)
+        _assert_same_table(modal, stein)
+        assert stein.shape == (1, 1, 1)
+        assert stein[0, 0, 0] == pytest.approx(h2_norm_lyap(yd.t1_stable) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_ring_never_takes_the_stein_route(monkeypatch, n):
+    # a silent fallback would put the ring on an O(n^2)-state Stein solve
+    import relsyn.solver as solver
+
+    def no_stein(*args):
+        raise AssertionError("the ring fell back to _stein_lags")
+
+    monkeypatch.setattr(solver, "_stein_lags", no_stein)
+    solve_ring_circulant(n, 0.4, 32)
 
 
 def _consensus_data(C2, rnom, plant=None):

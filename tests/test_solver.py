@@ -112,27 +112,24 @@ class TestCirculantReduce:
     def test_first_column_arrangement_n3(self):
         # with q1 = 1 and q2 = 2 (static parameters) the first column of Q
         # must be (q0, q2/z, q1/z) with q0 = -(q1 + q2)/z
-        prob = build_ring_problem(3, 0.5, horizon_q=4)
-        red = circulant_reduce(prob)
-        from relsyn.solver import _expand_circulant
-
-        q = _expand_circulant(red, [np.array([1.0]), np.array([2.0])], 4)
-        col = q.taps[:, :, 0]
-        assert col[0].tolist() == [0.0, 0.0, 0.0]
-        assert col[1].tolist() == [-3.0, 2.0, 1.0]
+        dirs, inputs, delays = circulant_reduce(build_ring_problem(3, 0.5, horizon_q=4))
+        assert dirs.shape == (2, 3, 3)
+        for j in range(2):
+            assert delays[inputs == j].tolist() == [1, 2, 3, 4]
+        col = np.tensordot([1.0, 2.0], dirs, axes=1)[:, 0]
+        assert col.tolist() == [-3.0, 2.0, 1.0]
 
     def test_first_column_arrangement_n2(self):
-        prob = build_ring_problem(2, 0.5, horizon_q=4)
-        red = circulant_reduce(prob)
-        from relsyn.solver import _expand_circulant
+        dirs, inputs, delays = circulant_reduce(build_ring_problem(2, 0.5, horizon_q=4))
+        assert dirs.shape == (1, 2, 2)
+        assert delays.tolist() == [1, 2, 3, 4]
+        assert dirs[0][:, 0].tolist() == [-1.0, 1.0]
 
-        q = _expand_circulant(red, [np.array([1.0])], 4)
-        assert q.taps[1][:, 0].tolist() == [-1.0, 1.0]
-
-    def test_scale_is_n(self):
-        for n in (2, 3, 5):
-            prob = build_ring_problem(n, 0.3, horizon_q=4)
-            assert circulant_reduce(prob).scale == float(n)
+    def test_offsets_past_the_horizon_have_no_direction(self):
+        # the ring distances of offsets 1..7 on n = 8 are 1, 2, 3, 4, 3, 2, 1
+        dirs, inputs, delays = circulant_reduce(build_ring_problem(8, 0.3, horizon_q=2))
+        assert len(dirs) == 4
+        assert [delays[inputs == a].tolist() for a in range(4)] == [[1, 2], [2], [2], [1, 2]]
 
     def test_non_circulant_rejected(self):
         from relsyn.bench import triangular_plant
@@ -183,12 +180,11 @@ class TestSolve:
         F1 = markov(yd.t1_stable, T_J)
         F2 = markov(yd.t2_stable, T_J)
         F3 = markov(yd.t3_projected, T_J)
-        pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
+        dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
         cols = []
-        for k, (i, j, dep) in zip(delays, pairs[inputs]):
+        for k, a in zip(delays, inputs):
             d = np.zeros((9, 3, 3))
-            d[k, i, j] = 1.0
-            d[k, i, dep] = -1.0
+            d[k] = dirs[a]
             contrib = fir_compose(
                 fir_compose(F2, FirSystem(d), horizon=T_J), F3, horizon=T_J
             )
@@ -232,6 +228,18 @@ class TestRingCirculant:
         res = solve_ring_circulant(3, 0.0, horizon_q=8)
         full = solve(build_ring_problem(3, 0.0, horizon_q=8))
         assert abs(full.objective - res.objective) <= 1e-9
+
+    def test_no_free_column_returns_the_nominal(self):
+        # horizon_q = 0 is shorter than every ring distance: both column
+        # maps are empty, Q = 0 and J is the nominal's ||T1||
+        ring = solve_ring_circulant(5, 0.4, 0)
+        prob = build_ring_problem(5, 0.4, 0)
+        full = solve(prob)
+        nominal = h2_norm_lyap(prob.yd.t1_stable)
+        for res in (ring, full):
+            assert np.abs(res.q_opt.taps).max() == 0.0
+            assert res.objective == pytest.approx(nominal, rel=1e-12)
+        assert ring.objective == pytest.approx(full.objective, rel=1e-14)
 
     def test_horizon_convergence(self):
         j16 = solve_ring_circulant(3, 0.5, horizon_q=16).objective
@@ -300,12 +308,11 @@ class TestInvariants:
         prob = build_ring_problem(3, 0.4, horizon_q=6)
         res = solve(prob)
         J0 = objective_value(prob, res.q_opt)
-        pairs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 6)
-        for k, (i, j, dep) in zip(delays, pairs[inputs]):
+        dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 6)
+        for k, a in zip(delays, inputs):
             for sign in (+1.0, -1.0):
                 taps = np.array(res.q_opt.taps)
-                taps[k, i, j] += sign * 1e-4
-                taps[k, i, dep] -= sign * 1e-4
+                taps[k] += sign * 1e-4 * dirs[a]
                 assert objective_value(prob, FirSystem(taps)) >= J0 - 1e-9
 
     def test_constraint_fidelity(self):
