@@ -22,14 +22,15 @@ from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
     SynthesisResult,
-    _clean_r,
+    _controller_horizon,
     combined_r_structure,
+    recovered_r_fir,
     recovered_structure,
     solve,
     solve_ring_circulant,
 )
 from .structure import InfoStructure, is_qi, membership, qi_certificate, transfer_pattern
-from .youla import build_tilde_plant, check_e_constraint, make_t_systems
+from .youla import E_CONSTRAINT_TOL, build_tilde_plant, check_e_constraint, make_t_systems
 
 CSV_HEADER = "n,gamma,J,J_per_node,solve_ms,residual"
 
@@ -148,12 +149,11 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
     prob = SynthesisProblem(yd=yd, structure=uptri, ms=ms, horizon_q=horizon_q)
     res = solve(prob)
 
-    # with a zero nominal, R's cleanup bound is the structure itself
-    r_clean = _clean_r(prob, res.q_opt)
-    K = star_recover_upper_triangular(r_clean, n)
+    R = recovered_r_fir(yd, res.q_opt, _controller_horizon(prob))
+    K = star_recover_upper_triangular(R, n)
     in_structure = membership(K, S)
     kc2 = fir_compose(K, FirSystem(ms.c2[np.newaxis]))
-    match = float(np.abs(kc2.taps - r_clean.padded(kc2.horizon).taps).max())
+    match = float(np.abs(kc2.taps - R.padded(kc2.horizon).taps).max())
 
     lines = [
         "Four-subsystem motivating example",
@@ -608,22 +608,27 @@ def render_sweep_png(csv_path: str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# cross-checks shared by the CLI and the acceptance suite
+# structural cross-checks of a synthesis result (library and tests only)
 # ---------------------------------------------------------------------------
 
 
 def verify_synthesis(prob: SynthesisProblem, res: SynthesisResult) -> dict:
     """Structural checks on a synthesis result: parameter membership,
     indicator annihilation of K C2, and membership of the recovered
-    controller in its induced structure."""
+    controller in its induced structure.
+
+    K C2's row sums are held to E_CONSTRAINT_TOL relative to
+    1 + max|K C2|: the taps of K grow with R's, and their sums keep only
+    the roundoff of that scale."""
     ms = prob.ms
     kc2 = fir_compose(res.k_opt, FirSystem(ms.c2[np.newaxis]))
+    tol = E_CONSTRAINT_TOL * (1.0 + float(np.abs(kc2.taps).max(initial=0.0)))
     k_structure = recovered_structure(
         combined_r_structure(prob.structure, prob.yd), ms
     )
     return {
         "q_member": membership(res.q_opt, prob.structure),
         "k_member": membership(res.k_opt, k_structure),
-        "kc2_relative": check_e_constraint(kc2, ms.indicators),
+        "kc2_relative": check_e_constraint(kc2, ms.indicators, tol),
         "constraint_violation": res.constraint_violation,
     }

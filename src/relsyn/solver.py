@@ -56,7 +56,7 @@ from .youla import YoulaData, build_tilde_plant, laplacian_rnom, make_t_systems,
 
 DEFAULT_Q_HORIZON = 32
 
-#: Entries this small may be snapped to exact zeros during cleanup.
+#: Entries of K this small below its structural bound are snapped to zero.
 _SNAP_TOL = 1e-9
 
 #: Tolerance of the eigenbasis route (:func:`_modal_lags`): relative in its
@@ -129,9 +129,9 @@ class SynthesisResult:
     system, and `constraint_violation` the largest indicator row sum over
     all taps of `q_opt`.  `r_opt` is the state-feedback map
     ``r_from_q(yd, q_opt)``, built on first access and then kept.
-    `k_opt` is R's impulse response truncated to ``horizon_q + 2n`` taps
-    (n states), recovered tap by tap: k_opt C2 = r_opt holds on those
-    taps only, not beyond them.
+    `k_opt` is K = Knom - F(C2 N, Q~) with N = F(Rnom, Pxu) and
+    Q~ C2 = q_opt, truncated to ``horizon_q + 2n`` taps (n states):
+    k_opt C2 = r_opt holds on those taps only, not beyond them.
     """
 
     q_opt: FirSystem
@@ -646,7 +646,7 @@ def solve_ring_circulant(
 
 
 # ---------------------------------------------------------------------------
-# shared finalization: cleanup, recovery, declared structures
+# shared finalization: recovery of K, declared structures
 # ---------------------------------------------------------------------------
 
 
@@ -675,47 +675,10 @@ def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) ->
             continue
         T, ordering = chain_transform(ms, comp)
         rows = list(ms.component_rows(ci))
-        c = len(comp)
-        gain_delay = np.empty((l, c - 1))
-        for jj in range(c - 1):
-            cols = [ordering[t] for t in range(jj + 1)]
-            gain_delay[:, jj] = r_structure.min_delay[:, cols].min(axis=1)
-        for pos, ell in enumerate(rows):
-            contributing = np.flatnonzero(T[: c - 1, pos])
-            if contributing.size:
-                out[:, ell] = gain_delay[:, contributing].min(axis=1)
+        gain_delay = np.minimum.accumulate(r_structure.min_delay[:, list(ordering[:-1])], axis=1)
+        contributing = T[: len(comp) - 1] != 0
+        out[:, rows] = np.where(contributing, gain_delay[:, :, None], np.inf).min(axis=1)
     return InfoStructure(out)
-
-
-def _clean_r_fir(
-    r_fir: FirSystem, bound: InfoStructure, ms: MeasurementStructure
-) -> FirSystem:
-    """Snap sub-tolerance entries to the structural zeros and project the
-    per-component row sums to exact zeros, so that recovery is exact.
-
-    For every tap, row and component, the sum is spread evenly over the
-    entries that are allowed or still nonzero, and a second pass moves
-    the roundoff of the first onto the first such entry.
-    """
-    taps = np.array(r_fir.taps)
-    ks = np.arange(taps.shape[0])[:, None, None]
-    snap = (ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)
-    taps[snap] = 0.0
-    for comp in ms.components:
-        cols = list(comp)
-        block = taps[:, :, cols]
-        allowed = (ks >= bound.min_delay[None, :, cols]) | (block != 0.0)
-        # a row with no allowed entry was snapped whole: its sum is zero,
-        # and both passes leave it as it is
-        count = np.maximum(allowed.sum(axis=2, keepdims=True), 1)
-        block -= np.where(allowed, block.sum(axis=2, keepdims=True) / count, 0.0)
-        lead = np.argmax(allowed, axis=2)[:, :, None]
-        residue = block.sum(axis=2, keepdims=True)
-        np.put_along_axis(
-            block, lead, np.take_along_axis(block, lead, axis=2) - residue, axis=2
-        )
-        taps[:, :, cols] = block
-    return FirSystem(taps)
 
 
 def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
@@ -745,17 +708,10 @@ def _finalize(prob: SynthesisProblem, q_opt: FirSystem, lsres: LstsqResult) -> S
         objective=lsres.residual,
         residual_gradient=lsres.gradient_norm,
         constraint_violation=violation,
-        k_opt=recover_controller(_clean_r(prob, q_opt), ms),
+        k_opt=_controller(prob, q_opt),
         rank_deficient=lsres.rank_deficient,
         yd=prob.yd,
     )
-
-
-def _clean_r(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
-    """R's taps on the controller window, cleaned for exact recovery."""
-    yd = prob.yd
-    r_fir = recovered_r_fir(yd, q, _controller_horizon(prob))
-    return _clean_r_fir(r_fir, combined_r_structure(prob.structure, yd), prob.ms)
 
 
 def _controller_horizon(prob: SynthesisProblem) -> int:
@@ -764,6 +720,28 @@ def _controller_horizon(prob: SynthesisProblem) -> int:
     # recovered FIR controller keeps a short structural window on which
     # the tap match k_opt C2 = r_opt is well conditioned.
     return prob.horizon_q + 2 * prob.yd.plant.n_states
+
+
+def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
+    """Taps of K = Knom - F(C2 N, Q~) on the controller window.
+
+    With Q~ C2 = Q and N = F(Rnom, Pxu), F(N, Q~ C2) = F(C2 N, Q~) C2, so
+    K C2 = R: K is recovered once, from the exactly relative Q and the
+    nominal, never from R's taps.  Roundoff below K's structural bound is
+    snapped to the exact zeros that membership tests.
+    """
+    yd, ms = prob.yd, prob.ms
+    horizon = _controller_horizon(prob)
+    # recovery works tap by tap, so Knom's taps and Q's share one call
+    stacked = np.concatenate([markov(yd.r_nom, horizon).taps, q.taps])
+    both = recover_controller(FirSystem(stacked), ms).taps
+    k_nom, q_tilde = FirSystem(both[: horizon + 1]), FirSystem(both[horizon + 1 :])
+    c2n = FirSystem(ms.c2 @ markov(lft(yd.r_nom, yd.plant.pxu()), horizon).taps)
+    taps = np.array(fir_sub(k_nom, fir_lft(c2n, q_tilde, horizon)).taps)
+    bound = recovered_structure(combined_r_structure(prob.structure, yd), ms)
+    ks = np.arange(horizon + 1)[:, None, None]
+    taps[(ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)] = 0.0
+    return FirSystem(taps)
 
 
 def _constraint_violation(q: FirSystem, ms: MeasurementStructure) -> float:

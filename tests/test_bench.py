@@ -217,6 +217,23 @@ class TestSweep:
             assert checks["kc2_relative"]
             assert checks["constraint_violation"] <= 1e-12
 
+    def test_kc2_row_sum_tolerance_scales_with_k(self, monkeypatch):
+        # at (20, 0.2) K's taps reach 1.3e6 and K C2's row sums keep about
+        # 7e-10 of roundoff, which passes; a row sum off by 1e-8 of that
+        # scale still fails
+        prob = build_ring_problem(20, 0.2, horizon_q=32)
+        res = solve_ring_circulant(20, 0.2, horizon_q=32)
+        assert verify_synthesis(prob, res)["kc2_relative"]
+        compose = bench.fir_compose
+
+        def perturbed(G, H, horizon=None):
+            taps = np.array(compose(G, H, horizon).taps)
+            taps[5, 3, 0] += 1e-8 * np.abs(taps).max()
+            return FirSystem(taps)
+
+        monkeypatch.setattr(bench, "fir_compose", perturbed)
+        assert not verify_synthesis(prob, res)["kc2_relative"]
+
 
 STUB_PYPLOT = """\
 calls = []

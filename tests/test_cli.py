@@ -54,6 +54,17 @@ def test_solve_ring_bundle(tmp_path, capsys):
     assert k.n_outputs == 3 and k.n_inputs == 2
 
 
+def test_solve_large_ring_bundle(tmp_path, capsys):
+    # R's taps on this ring reach 8.5e9, past any absolute tolerance on
+    # their row sums; K is recovered from Q and written all the same
+    bundle = tmp_path / "big.bundle"
+    bundle.write_text("ring = 32\ngamma = 0.2\n")
+    assert main(["solve", str(bundle)]) == 0
+    assert "n=32 gamma=0.2 " in capsys.readouterr().out
+    k = fileio.read_fir(tmp_path / "big_k_opt.fir")
+    assert k.n_outputs == 32 and k.n_inputs == 31
+
+
 def test_solve_general_bundle(tmp_path, capsys):
     plant = ring_plant(3, 0.5)
     fileio.write_plant(tmp_path / "p.plant", plant)
