@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,9 @@ class MeasurementStructure:
         smallest vertex.
     indicators : (N, n) matrix
         Row i is the 0/1 indicator vector of component i.
+    chain_transforms : tuple
+        :func:`chain_transform` of each component (None for a single
+        vertex), built on first access and then kept.
     """
 
     c2: Matrix
@@ -55,6 +59,18 @@ class MeasurementStructure:
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def chain_transforms(self) -> tuple:
+        out = []
+        for comp in self.components:
+            if len(comp) == 1:
+                out.append(None)
+                continue
+            T, ordering = chain_transform(self, comp)
+            # read-only: every recovery from this structure shares it
+            out.append((_freeze(T), ordering))
+        return tuple(out)
 
     def component_rows(self, ci: int) -> tuple:
         """Indices of the measurement rows supported on component ci."""
@@ -347,13 +363,7 @@ def decompose(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> Relativ
     some block has a nonzero row sum; a single-vertex component forces an
     identically zero block.
     """
-    return _decompose(_as_fir(R), ms, tol)[0]
-
-
-def _decompose(fir: FirSystem, ms: MeasurementStructure, tol: float) -> tuple:
-    """:func:`decompose`, also handing over each component's chain
-    transform (None for a single vertex) so that recovery need not
-    rebuild it."""
+    fir = _as_fir(R)
     if fir.n_inputs != ms.n_states:
         raise DimensionError(
             f"map has {fir.n_inputs} columns, structure has {ms.n_states} states"
@@ -374,27 +384,23 @@ def _decompose(fir: FirSystem, ms: MeasurementStructure, tol: float) -> tuple:
 
     orderings = []
     gains = []
-    transforms = []
     for ci, comp in enumerate(ms.components):
         if len(comp) == 1:
             orderings.append((comp[0],))
             gains.append(FirSystem.zero(fir.n_outputs, 0, fir.horizon))
-            transforms.append(None)
             continue
-        T, ordering = chain_transform(ms, comp)
+        ordering = ms.chain_transforms[ci][1]
         perm = [comp.index(v) for v in ordering]
         # solve_chain on every tap at once; the relative check is above
         G = np.cumsum(blocks[ci].taps[:, :, perm], axis=2)[:, :, :-1]
         orderings.append(ordering)
         gains.append(FirSystem(G))
-        transforms.append(T)
-    dec = RelativeDecomposition(
+    return RelativeDecomposition(
         structure=ms,
         blocks=tuple(blocks),
         orderings=tuple(orderings),
         chain_gains=tuple(gains),
     )
-    return dec, transforms
 
 
 def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
@@ -413,12 +419,12 @@ def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
         Dk = recover_controller(R.D, ms, tol)
         return StateSpace(R.A, Bk, R.C, Dk)
     fir = _as_fir(R)
-    dec, transforms = _decompose(fir, ms, tol)
+    dec = decompose(fir, ms, tol)
     K = np.zeros((fir.horizon + 1, fir.n_outputs, ms.n_measurements))
-    for ci, (comp, T) in enumerate(zip(ms.components, transforms)):
-        if T is None:
+    for ci, (comp, chain) in enumerate(zip(ms.components, ms.chain_transforms)):
+        if chain is None:
             continue
         rows = list(ms.component_rows(ci))
-        K[:, :, rows] += dec.chain_gains[ci].taps @ T[: len(comp) - 1]
+        K[:, :, rows] += dec.chain_gains[ci].taps @ chain[0][: len(comp) - 1]
     out = FirSystem(K)
     return out if isinstance(R, FirSystem) else out.taps[0]

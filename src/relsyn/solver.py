@@ -4,11 +4,16 @@ The objective ||T1 + T2 Q T3|| in the H2 norm is affine in the FIR
 coefficients of the free parameter Q.  Every solve is a column map
 (dirs, inputs, delays): column a of the least-squares system moves Q
 along the l x n direction dirs[inputs[a]], delayed by delays[a] taps.
-The general path takes as directions e_i (e_j - e_dep)', one per free
-entry of Q left after eliminating the equality constraints (structural
-zeros and per-component zero row sums); the ring-consensus family takes
-the n - 1 circulant matrices that span the circulant, relative Q.  One
-kernel serves both: A'A, A'b and ||b||^2 are lags of the joint system
+The free directions are e_i (e_j - e_dep)', one per free entry of Q
+left after eliminating the equality constraints (structural zeros and
+per-component zero row sums).  When a group of node permutations leaves
+the plant, the nominal, the structure and the components unchanged, some
+optimal Q is invariant under it, and the orbit column map keeps only the
+averages of the free directions over the group, one per independent
+direction: `solve` searches for the group, and the ring-consensus family
+passes its dihedral group (shift and reflection), which leaves the
+floor(n/2) symmetric circulant directions.  One kernel serves every
+column map: A'A, A'b and ||b||^2 are lags of the joint system
 [direction responses | vec T1], exact over the infinite horizon, G is
 gathered from them in one indexing step, and the Gram system is solved
 by Cholesky, falling back to QR with column pivoting when G is singular
@@ -40,12 +45,7 @@ from .lti import (
     markov,
     series,
 )
-from .measurement import (
-    MeasurementStructure,
-    chain_transform,
-    recover_controller,
-    validate_c2,
-)
+from .measurement import MeasurementStructure, recover_controller, validate_c2
 from .structure import (
     InfoStructure,
     membership,
@@ -60,7 +60,8 @@ DEFAULT_Q_HORIZON = 32
 _SNAP_TOL = 1e-9
 
 #: Tolerance of the eigenbasis route (:func:`_modal_lags`): relative in its
-#: gate, and absolute on V' dirs V, whose directions have unit entries.
+#: gate, and absolute on V' dirs V, whose directions have nonzero entries
+#: of magnitude between 1/n and n.
 _MODAL_TOL = 1e-12
 
 
@@ -206,21 +207,251 @@ def _free_columns(structure: InfoStructure, indicators, horizon: int) -> tuple:
     least-squares system moves Q along dirs[inputs[a]] at tap delays[a],
     for every tap from min_delay[i, j] to `horizon`.
     """
+    i, j, dep = _free_pairs(structure, indicators, horizon)
+    p = np.arange(len(i))
+    dirs = np.zeros((len(i), *structure.min_delay.shape))
+    dirs[p, i, j] = 1.0
+    dirs[p, i, dep] = -1.0
+    return (dirs, *_taps_from(structure.min_delay[i, j], horizon))
+
+
+def _free_pairs(structure: InfoStructure, indicators, horizon: int) -> tuple:
+    """(i, j, dep) of :func:`_free_columns`' directions, one per free pair."""
     md = structure.min_delay
-    l, n = md.shape
+    n = md.shape[1]
     others = np.arange(n)
     pairs = [np.zeros((0, 3), dtype=int)]
     for ind in np.atleast_2d(indicators) != 0:
         dep = np.argmin(np.where(ind, md, np.inf), axis=1)
         i, j = np.nonzero(ind & (md <= horizon) & (others != dep[:, None]))
         pairs.append(np.column_stack([i, j, dep[i]]))
-    i, j, dep = np.concatenate(pairs).T
-    p = np.arange(len(i))
-    dirs = np.zeros((len(i), l, n))
-    dirs[p, i, j] = 1.0
-    dirs[p, i, dep] = -1.0
-    delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= md[i, j])
-    return dirs, inputs, delays
+    return np.concatenate(pairs).T
+
+
+def _taps_from(first, horizon: int) -> tuple:
+    """(inputs, delays) of a column map whose direction a has every tap
+    from first[a] to `horizon`, ordered by tap, then by direction."""
+    delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= np.asarray(first))
+    return inputs, delays
+
+
+# ---------------------------------------------------------------------------
+# node symmetries and the orbit column map
+# ---------------------------------------------------------------------------
+
+
+def _symmetry_blocks(prob: SynthesisProblem):
+    """The n x n matrices that a node symmetry of `prob` must fix, stacked,
+    or None outside the shape gate of :func:`_modal_lags`.
+
+    They are A, B1, B2, the static nominal gain, the structure's
+    min_delay, the same-component relation (a permutation that keeps it
+    maps the component indicators onto themselves) and each n-row block
+    of C1 and D12.  A permutation g that fixes all of them, entry (i, j)
+    equal to entry (g i, g j), fixes T1, T2 and T3p up to permuting their
+    outputs and inputs, and maps the constraint set of Q onto itself, so
+    the objective takes the same value at Q and at P Q P'.
+    """
+    yd = prob.yd
+    if not _node_shaped(yd):
+        return None
+    plant = yd.plant
+    n = plant.n_states
+    comp = np.argmax(prob.ms.indicators, axis=0)
+    square = [plant.A, plant.B1, plant.B2, yd.r_nom.D, prob.structure.min_delay]
+    blocks = [np.stack(square + [comp[:, None] == comp]), plant.C1.reshape(-1, n, n)]
+    return np.concatenate(blocks + [plant.D12.reshape(-1, n, n)])
+
+
+def _node_shaped(yd: YoulaData) -> bool:
+    """A static nominal and n x n blocks: n controls, n disturbances and
+    performance outputs in blocks of n, as node symmetries and the
+    eigenbasis route need."""
+    plant = yd.plant
+    n = plant.n_states
+    return not (
+        yd.r_nom.n_states or plant.n_ctrl != n or plant.n_dist != n or plant.n_perf % n
+    )
+
+
+#: Search nodes (node images tried) that :func:`_automorphisms` may spend;
+#: past it the generators found so far are kept.
+_SYMMETRY_BUDGET = 5000
+
+
+def _automorphisms(prob: SynthesisProblem) -> tuple:
+    """Generators of the node permutations that leave `prob` unchanged.
+
+    Returns index arrays g (node i goes to g[i]) with entry (g i, g j)
+    equal to entry (i, j) for every matrix of :func:`_symmetry_blocks`;
+    an empty tuple stands for the identity group, which is also the answer
+    outside the shape gate.  Each entry (i, j) gets one colour per
+    distinct tuple of its values; each node starts from the colour of its
+    diagonal entry, refined by the multisets of (entry colour, node
+    colour) along its row and its column until no class splits.  A
+    symmetry keeps both kinds of colour.  The search runs
+    down the stabilizer chain of the base 0, 1, ..., n - 1 from the
+    deepest level: at level k, for each image c of node k outside the
+    orbit of k under the generators found so far (all of which fix nodes
+    0..k-1), a backtracking search over the images of nodes k + 1, ...
+    pruned by node colours and by the colours of the entries to the
+    nodes already placed looks for one symmetry that fixes 0..k-1 and
+    sends k to c.  So the search finds one symmetry per coset it needs,
+    at most n - 1 per level, and never enumerates the group.  When the
+    search spends `_SYMMETRY_BUDGET` node images it stops and keeps the
+    generators it has: they span a subgroup, which still gives a correct
+    column map.
+    """
+    X = _symmetry_blocks(prob)
+    if X is None:
+        return ()
+    b, n, _ = X.shape
+    C = _row_classes(X.reshape(b, n * n).T).reshape(n, n)
+    colour = _row_classes(np.diag(C)[:, None])
+    while True:
+        out = C * (colour.max() + 1) + colour
+        inn = C.T * (colour.max() + 1) + colour
+        refined = _row_classes(np.column_stack([colour, np.sort(out, 1), np.sort(inn, 1)]))
+        if refined.max() == colour.max():
+            break
+        colour = refined
+    img = np.arange(n)
+    used = np.zeros(n, dtype=bool)
+    spent = 0
+
+    def images(t):
+        # nodes that may take node t's place, given the images of 0..t-1
+        placed = img[:t]
+        ok = (colour == colour[t]) & ~used
+        ok &= (C[:, placed] == C[t, :t]).all(axis=1)
+        ok &= (C[placed, :] == C[:t, t : t + 1]).all(axis=0)
+        return np.flatnonzero(ok)
+
+    def extend(t):
+        # place nodes t..n-1; False also when the budget runs out
+        nonlocal spent
+        if t == n:
+            return True
+        for w in images(t):
+            if spent >= _SYMMETRY_BUDGET:
+                return False
+            spent += 1
+            img[t], used[w] = w, True
+            if extend(t + 1):
+                return True
+            used[w] = False
+        return False
+
+    # level k has work only if a later node shares node k's colour
+    last = np.empty(colour.max() + 1, dtype=int)
+    last[colour] = np.arange(n)
+    gens = []
+    for k in np.flatnonzero(last[colour] > np.arange(n))[::-1]:
+        # nodes 0..k-1 stay in place
+        img[:k] = np.arange(k)
+        used[:k], used[k:] = True, False
+        orbit = _orbits(gens, n)
+        for c in images(k):
+            if orbit[c] == orbit[k]:
+                continue
+            if spent >= _SYMMETRY_BUDGET:
+                return tuple(gens)
+            spent += 1
+            used[k:] = False
+            img[k], used[c] = c, True
+            if extend(k + 1):
+                gens.append(img.copy())
+                orbit = _orbits(gens, n)
+    return tuple(gens)
+
+
+def _entry_orbits(generators, n: int) -> np.ndarray:
+    """Orbit labels 0, 1, ... of the entries (i, j) of an n x n matrix
+    under (i, j) -> (g i, g j), numbered by their first entry in row-major
+    order."""
+    moves = [(g[:, None] * n + g).reshape(-1) for g in generators]
+    return np.unique(_orbits(moves, n * n), return_inverse=True)[1].reshape(n, n)
+
+
+def _orbits(perms, size: int) -> np.ndarray:
+    """The smallest element of each element's orbit under the
+    permutations `perms` of 0..size-1.
+
+    Each element holds the smallest element known to share its orbit; a
+    round lowers it to the smallest over its images and preimages, then
+    to that element's own label (pointer jumping), until no label moves.
+    """
+    label = np.arange(size)
+    while True:
+        low = label.copy()
+        for m in perms:
+            np.minimum(low, low[m], out=low)
+            low[m] = np.minimum(low[m], low)
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _row_classes(M: np.ndarray) -> np.ndarray:
+    """Integer labels of the rows of M, equal exactly when the rows are."""
+    order = np.lexsort(M.T[::-1])
+    ranked = M[order]
+    labels = np.empty(len(M), dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))])
+    return labels
+
+
+def _orbit_columns(prob: SynthesisProblem, generators) -> tuple:
+    """Column map of the Q that the node permutations `generators` fix.
+
+    The group G they span acts on Q by Q -> P Q P'.  When G fixes the
+    problem (:func:`_automorphisms`), the objective and the constraints
+    are G-invariant and convex, so the Reynolds average (1/|G|) sum over
+    G of P Q P' of an optimal Q is optimal and G-invariant: the solve
+    need only range over the invariant Q.  The average of Q is the mean
+    of its entries over each orbit of entries (i, j) -> (g i, g j)
+    (:func:`_entry_orbits`).  It maps the direction e_i (e_j - e_dep)' of
+    :func:`_free_columns` to 1_O1 / |O1| - 1_O2 / |O2|, O1 and O2 the
+    orbits of (i, j) and (i, dep); this map scales it by |O1|, so its
+    entries are 1 on O1.  In the integer coordinates of orbit sums that
+    direction is the edge e_O1 - e_O2 of a graph on the orbits, so a set
+    of directions is independent exactly when its edges form a forest.
+    Taking the edges in order of min_delay and keeping each one that
+    joins two trees (union-find) gives, for every tap k, a basis of the
+    averaged directions live at k, nested in k.  A trivial group returns
+    :func:`_free_columns` unchanged.
+    """
+    structure, horizon = prob.structure, prob.horizon_q
+    if not generators:
+        return _free_columns(structure, prob.ms.indicators, horizon)
+    md = structure.min_delay
+    n = md.shape[1]
+    orbit = _entry_orbits(generators, n)
+    size = np.bincount(orbit.reshape(-1))
+
+    i, j, dep = _free_pairs(structure, prob.ms.indicators, horizon)
+    # one edge per distinct (O1, O2), in order of min_delay
+    r = size.size
+    edges, first = np.unique(orbit[i, j] * r + orbit[i, dep], return_index=True)
+    delay = md[i[first], j[first]]
+    root = list(range(r))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    keep = []
+    for e in np.lexsort((first, delay)):
+        a, b = find(edges[e] // r), find(edges[e] % r)
+        if a != b:
+            root[a] = b
+            keep.append(e)
+    plus, minus = np.divmod(edges[keep], r)
+    ratio = (size[plus] / size[minus])[:, None, None]
+    dirs = (orbit == plus[:, None, None]) - ratio * (orbit == minus[:, None, None])
+    return (dirs, *_taps_from(delay[keep], horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +573,16 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     free coefficients that remain after constraint elimination.  A free
     coefficient at tap k of entry (i, j), paired with the dependent entry
     (i, dep) of its zero-sum group, moves Q along e_i (e_j - e_dep)',
-    delayed by k taps (:func:`_free_columns`); :func:`_solve_columns`
-    minimizes over that column map and recovers the output-feedback
-    controller from the optimal state-feedback map.
+    delayed by k taps (:func:`_free_columns`).  The node permutations
+    that leave the problem unchanged (:func:`_automorphisms`) leave some
+    optimal Q unchanged, so the solve ranges over those Q alone: the
+    orbit column map (:func:`_orbit_columns`) averages the free
+    directions over the group, and a problem without symmetry keeps them
+    as they are.  :func:`_solve_columns` minimizes over that column map
+    and recovers the output-feedback controller from the optimal
+    state-feedback map.
     """
-    return _solve_columns(prob, *_free_columns(prob.structure, prob.ms.indicators, prob.horizon_q))
+    return _solve_columns(prob, *_orbit_columns(prob, _automorphisms(prob)))
 
 
 def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisResult:
@@ -419,13 +655,7 @@ def _modal_lags(yd: YoulaData, dirs, K: int):
     plant = yd.plant
     n = plant.n_states
     D = yd.r_nom.D
-    if (
-        yd.r_nom.n_states
-        or plant.n_ctrl != n
-        or plant.n_dist != n
-        or plant.n_perf % n
-        or np.abs(D - D.T).max() > _MODAL_TOL * np.linalg.norm(D)
-    ):
+    if not _node_shaped(yd) or np.abs(D - D.T).max() > _MODAL_TOL * np.linalg.norm(D):
         return None
     V = np.linalg.eigh(D)[1]
     P = yd.disagreement_basis @ yd.disagreement_basis.T
@@ -581,65 +811,49 @@ def build_ring_problem(
     )
 
 
-def _is_circulant(M: np.ndarray) -> bool:
-    n = M.shape[0]
-    if M.shape != (n, n):
-        return False
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return bool(np.array_equal(M, M[:, 0][idx]))
-
-
 def circulant_reduce(prob: SynthesisProblem) -> tuple:
-    """Circulant column map of a circulant problem.
+    """Dihedral column map of a ring-symmetric problem.
 
-    Circulant transfer matrices commute, and by symmetry and convexity
-    some optimal Q is circulant, so the solve may range over the circulant
-    relative Q alone: spans of the n - 1 circulant matrices whose first
-    column is e_(n-1-j) - e_0, one per offset j + 1.  Returns the column
-    map (dirs, inputs, delays) of :func:`_solve_columns`: dirs stacks
-    those matrices for every offset whose ring distance (the structure's
-    delay) is at most horizon_q, and each has taps from that distance up
-    to horizon_q.  Rejects non-circulant plants, nominal controllers or
-    structures.
+    The ring's shift i -> i + 1 and reflection i -> -i (mod n) generate
+    its dihedral group of 2n node permutations.  When both leave the
+    problem unchanged (:func:`_symmetry_blocks`: plant blocks, nominal
+    gain, structure and components), some optimal Q is a symmetric
+    circulant, so the solve may range over those Q alone: the orbit
+    column map (:func:`_orbit_columns`) of the two generators has one
+    direction per ring distance d from 1 to floor(n/2), the circulant
+    with ones at offsets d and n - d minus the diagonal that makes its
+    rows sum to zero, with taps from d (the structure's delay) up to
+    horizon_q.  Returns the column map (dirs, inputs, delays) of
+    :func:`_solve_columns`.  Rejects a problem outside the shape gate or
+    not fixed by the shift and the reflection.
     """
-    yd = prob.yd
-    plant = yd.plant
-    n = plant.n_states
-    blocks = [plant.A, plant.B1, plant.B2]
-    if plant.n_perf % n == 0:
-        for r in range(plant.n_perf // n):
-            blocks.append(plant.C1[r * n : (r + 1) * n])
-            blocks.append(plant.D12[r * n : (r + 1) * n])
-    else:
-        raise StructureViolationError("performance blocks are not n x n stacks")
-    if yd.r_nom.n_states != 0:
-        raise StructureViolationError("circulant path needs a static nominal gain")
-    blocks.append(yd.r_nom.D)
-    if not all(_is_circulant(M) for M in blocks):
-        raise StructureViolationError("plant or nominal controller is not circulant")
-    md = prob.structure.min_delay
-    if not _is_circulant(md):
-        raise StructureViolationError("structure is not circulant")
-
-    first = n - 1 - np.arange(n - 1)  # offset j + 1 sits in row n - 1 - j
-    first = first[md[first, 0] <= prob.horizon_q]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    dirs = (idx == first[:, None, None]) - np.eye(n)
-    delays, inputs = np.nonzero(np.arange(prob.horizon_q + 1)[:, None] >= md[first, 0])
-    return dirs, inputs, delays
+    X = _symmetry_blocks(prob)
+    if X is None:
+        raise StructureViolationError(
+            "ring reduction needs a static nominal gain and n x n plant blocks"
+        )
+    n = X.shape[1]
+    shift, reflection = (np.arange(n) + 1) % n, -np.arange(n) % n
+    if not all(np.array_equal(X[:, g][:, :, g], X) for g in (shift, reflection)):
+        raise StructureViolationError(
+            "plant, nominal gain or structure is not invariant under the ring's "
+            "shift and reflection"
+        )
+    return _orbit_columns(prob, (shift, reflection))
 
 
 def solve_ring_circulant(
     n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
 ) -> SynthesisResult:
-    """Solve the ring-consensus instance over circulant Q.
+    """Solve the ring-consensus instance over symmetric circulant Q.
 
-    Builds the ring problem and hands its circulant column map
+    Builds the ring problem and hands its dihedral column map
     (:func:`circulant_reduce`) to the solve that :func:`solve` uses: the
-    n - 1 circulant parameters replace the n(n - 1) free entries of Q,
-    the ring passes the eigenbasis gate, and a circulant direction
-    touches only mode pairs inside the Laplacian's eigenspaces, at most
-    2n - 1 of the n^2, so the lag table costs O(n) 3-state Stein solves.
+    floor(n/2) symmetric circulant directions replace the n(n - 1) free
+    entries of Q, the ring passes the eigenbasis gate, and a circulant
+    direction touches only mode pairs inside the Laplacian's eigenspaces,
+    at most 2n - 1 of the n^2, so the lag table costs O(n) 3-state Stein
+    solves.
     """
     prob = build_ring_problem(n, gamma, horizon_q)
     return _solve_columns(prob, *circulant_reduce(prob))
@@ -673,7 +887,7 @@ def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) ->
     for ci, comp in enumerate(ms.components):
         if len(comp) == 1:
             continue
-        T, ordering = chain_transform(ms, comp)
+        T, ordering = ms.chain_transforms[ci]
         rows = list(ms.component_rows(ci))
         gain_delay = np.minimum.accumulate(r_structure.min_delay[:, list(ordering[:-1])], axis=1)
         contributing = T[: len(comp) - 1] != 0

@@ -123,6 +123,23 @@ def test_general_path_matches_dense_qr(rng, gamma):
         _assert_agrees(solve(prob), *dense_general(prob))
 
 
+def test_symmetric_stein_route_matches_unreduced_and_dense_qr():
+    # reflection-symmetric but unequal actuator gains on the path: outside
+    # the eigenbasis gate, yet the reflection still fixes the problem
+    from relsyn.solver import _automorphisms, _modal_lags, _solve_columns
+
+    C2 = np.zeros((5, 6))
+    for i in range(5):
+        C2[i, i], C2[i, i + 1] = 1.0, -1.0
+    prob = consensus_problem(C2, 0.3, 8, b2=np.array([0.6, 0.9, 1.2, 1.2, 0.9, 0.6]))
+    free = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
+    assert _modal_lags(prob.yd, free[0], 1) is None
+    assert [g.tolist() for g in _automorphisms(prob)] == [[5, 4, 3, 2, 1, 0]]
+    res = solve(prob)
+    assert res.objective == pytest.approx(_solve_columns(prob, *free).objective, rel=1e-12)
+    _assert_agrees(res, *dense_general(prob))
+
+
 @pytest.mark.parametrize("n", [5, 8])
 @pytest.mark.parametrize("gamma", [0.2, 0.5])
 def test_circulant_path_matches_dense_qr(n, gamma):

@@ -109,15 +109,17 @@ class TestEliminateQ0:
 
 
 class TestCirculantReduce:
+    """The dihedral map: one symmetric circulant direction per ring
+    distance d = 1..floor(n/2), with taps from d up to horizon_q."""
+
     def test_first_column_arrangement_n3(self):
-        # with q1 = 1 and q2 = 2 (static parameters) the first column of Q
-        # must be (q0, q2/z, q1/z) with q0 = -(q1 + q2)/z
+        # n = 3 has one ring distance: ones off the diagonal, -2 on it
         dirs, inputs, delays = circulant_reduce(build_ring_problem(3, 0.5, horizon_q=4))
-        assert dirs.shape == (2, 3, 3)
-        for j in range(2):
-            assert delays[inputs == j].tolist() == [1, 2, 3, 4]
-        col = np.tensordot([1.0, 2.0], dirs, axes=1)[:, 0]
-        assert col.tolist() == [-3.0, 2.0, 1.0]
+        assert dirs.shape == (1, 3, 3)
+        assert delays.tolist() == [1, 2, 3, 4]
+        assert inputs.tolist() == [0, 0, 0, 0]
+        assert dirs[0][:, 0].tolist() == [-2.0, 1.0, 1.0]
+        assert dirs[0][:, 0].sum() == 0.0
 
     def test_first_column_arrangement_n2(self):
         dirs, inputs, delays = circulant_reduce(build_ring_problem(2, 0.5, horizon_q=4))
@@ -126,10 +128,15 @@ class TestCirculantReduce:
         assert dirs[0][:, 0].tolist() == [-1.0, 1.0]
 
     def test_offsets_past_the_horizon_have_no_direction(self):
-        # the ring distances of offsets 1..7 on n = 8 are 1, 2, 3, 4, 3, 2, 1
+        # n = 8 has ring distances 1..4; only 1 and 2 are within horizon 2
         dirs, inputs, delays = circulant_reduce(build_ring_problem(8, 0.3, horizon_q=2))
-        assert len(dirs) == 4
-        assert [delays[inputs == a].tolist() for a in range(4)] == [[1, 2], [2], [2], [1, 2]]
+        assert len(dirs) == 2
+        assert [delays[inputs == a].tolist() for a in range(2)] == [[1, 2], [2]]
+        for d, direction in zip((1, 2), dirs):
+            assert np.array_equal(direction, direction.T)
+            assert direction[:, 0].tolist() == [-2.0] + [
+                1.0 if min(i, 8 - i) == d else 0.0 for i in range(1, 8)
+            ]
 
     def test_non_circulant_rejected(self):
         from relsyn.bench import triangular_plant
@@ -289,6 +296,27 @@ class TestFinalize:
                 assert np.array_equal(getattr(r_opt, name), getattr(ref, name))
             assert res.r_opt is r_opt
         assert len(calls) == 2
+
+    def test_chain_transform_once_per_component_per_solve(self, monkeypatch):
+        # recover_controller and recovered_structure share the structure's
+        # transforms, built on first use
+        from relsyn import measurement
+
+        original = measurement.chain_transform
+        calls = []
+
+        def spy(ms, comp):
+            calls.append(comp)
+            return original(ms, comp)
+
+        monkeypatch.setattr(measurement, "chain_transform", spy)
+        for n in (4, 6):
+            calls.clear()
+            solve(build_ring_problem(n, 0.4, 6))
+            assert calls == [tuple(range(n))]
+        calls.clear()
+        solve_ring_circulant(5, 0.4, 6)
+        assert calls == [tuple(range(5))]
 
     @pytest.mark.parametrize("n, gamma, horizon_q", [(5, 0.4, 8), (8, 0.2, 32)])
     def test_recovered_r_fir_needs_no_padding(self, n, gamma, horizon_q):
