@@ -163,7 +163,8 @@ def _solve_bundle(bundle: dict, args) -> tuple:
     """Build and solve the bundle's problem once.
 
     Returns (result, gamma_label, plant), the plant with its own sensing
-    matrix; a ring bundle takes the circulant path.
+    matrix; a ring bundle is solved as the ring problem, by :func:`solve`
+    like every other bundle.
     """
     path = args.bundle
     horizon_q = args.horizon_q

@@ -41,6 +41,9 @@ class MeasurementStructure:
     chain_transforms : tuple
         :func:`chain_transform` of each component (None for a single
         vertex), built on first access and then kept.
+    component_rows : tuple of tuples
+        The measurement rows of each component, ascending, built on first
+        access and then kept.
     """
 
     c2: Matrix
@@ -72,19 +75,13 @@ class MeasurementStructure:
             out.append((_freeze(T), ordering))
         return tuple(out)
 
-    def component_rows(self, ci: int) -> tuple:
-        """Indices of the measurement rows supported on component ci."""
-        members = set(self.components[ci])
-        rows = []
-        for ell in range(self.n_measurements):
-            support = np.flatnonzero(self.c2[ell])
-            if set(support.tolist()) <= members:
-                rows.append(ell)
-        return tuple(rows)
-
-    def agreement_directions(self) -> list:
-        """The indicator vectors as a list of n-vectors."""
-        return [self.indicators[i].copy() for i in range(self.n_components)]
+    @cached_property
+    def component_rows(self) -> tuple:
+        # both ends of a sensing row lie in one component: its +1 end's
+        comp = np.argmax(self.indicators, axis=0)[np.argmax(self.c2 == 1.0, axis=1)]
+        order = np.argsort(comp, kind="stable")
+        ends = np.cumsum(np.bincount(comp, minlength=self.n_components))[:-1]
+        return tuple(tuple(rows.tolist()) for rows in np.split(order, ends))
 
     def disagreement_basis(self) -> Matrix:
         """Orthonormal basis of the complement of span of the indicators.
@@ -214,8 +211,9 @@ def chain_transform(ms: MeasurementStructure, component) -> tuple:
     makes T invertible.
     """
     comp = tuple(sorted(component))
-    ci = _component_index(ms, comp)
-    rows = ms.component_rows(ci)
+    if comp not in ms.components:
+        raise DomainError(f"{comp} is not a component of the measurement graph")
+    rows = ms.component_rows[ms.components.index(comp)]
     c = len(comp)
     p_c = len(rows)
     row_pos = {ell: k for k, ell in enumerate(rows)}
@@ -294,13 +292,6 @@ def chain_transform(ms: MeasurementStructure, component) -> tuple:
     for k, ell in enumerate(surplus):
         T[c - 1 + k, row_pos[ell]] = 1.0
     return T, ordering
-
-
-def _component_index(ms: MeasurementStructure, comp: tuple) -> int:
-    for ci, known in enumerate(ms.components):
-        if known == comp:
-            return ci
-    raise DomainError(f"{comp} is not a component of the measurement graph")
 
 
 def solve_chain(F, tol: float = RELATIVE_TOL) -> Matrix:
@@ -424,7 +415,7 @@ def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
     for ci, (comp, chain) in enumerate(zip(ms.components, ms.chain_transforms)):
         if chain is None:
             continue
-        rows = list(ms.component_rows(ci))
+        rows = list(ms.component_rows[ci])
         K[:, :, rows] += dec.chain_gains[ci].taps @ chain[0][: len(comp) - 1]
     out = FirSystem(K)
     return out if isinstance(R, FirSystem) else out.taps[0]

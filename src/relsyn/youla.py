@@ -13,6 +13,7 @@ measurement constraint convex in Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,13 +93,17 @@ class YoulaData:
     """Nominal controller, extended plant and the fixed systems of the
     affine closed-loop parameterization.
 
-    ``t1``, ``t2`` and ``t3`` share one closed-loop state realization;
+    ``t1``, ``t2`` and ``t3`` share one closed-loop state realization.
     ``t1_stable`` and ``t2_stable`` are the same maps with the marginal
     agreement states removed (identical objects when the loop is already
     strictly Schur), and ``t3_projected`` additionally projects the state
     output onto the disagreement subspace, which is exact once the free
-    parameter annihilates the indicators.  Solvers consume the stable
-    variants so that their H2 norms are finite.
+    parameter annihilates the indicators.  Each stable map is built on
+    first access and then kept: the solver's Stein route and
+    Lyapunov-based norms read them, its eigenbasis route never does.
+    When the performance output sees an agreement mode, that first access
+    (so a solve on the Stein route) raises the :class:`DomainError` of
+    :func:`~relsyn.lti.drop_invariant_subspace`.
     """
 
     r_nom: StateSpace
@@ -107,10 +112,25 @@ class YoulaData:
     t3: StateSpace
     plant: Plant
     ms: MeasurementStructure
-    t1_stable: StateSpace
-    t2_stable: StateSpace
-    t3_projected: StateSpace
     disagreement_basis: Matrix
+
+    @cached_property
+    def t1_stable(self) -> StateSpace:
+        return self._stable(self.t1)
+
+    @cached_property
+    def t2_stable(self) -> StateSpace:
+        return self._stable(self.t2)
+
+    @cached_property
+    def t3_projected(self) -> StateSpace:
+        t3, V = self.t3, self.disagreement_basis
+        return self._stable(StateSpace(t3.A, t3.B, V @ V.T @ t3.C, t3.D))
+
+    def _stable(self, sys: StateSpace) -> StateSpace:
+        if self.t1.is_schur():
+            return sys
+        return drop_invariant_subspace(sys, _lifted_agreement(self.ms, sys.n_states))
 
 
 def make_t_systems(
@@ -163,16 +183,6 @@ def make_t_systems(
     t2 = StateSpace(A_cl, B2_cl, -C1_cl, -p_tilde.D12)
     t3 = StateSpace(A_cl, B1_cl, Cx_cl, np.zeros((n, p_tilde.n_dist)))
 
-    V = ms.disagreement_basis()
-    proj = V @ V.T
-    t3p = StateSpace(A_cl, B1_cl, proj @ Cx_cl, np.zeros((n, p_tilde.n_dist)))
-    if t1.is_schur():
-        t1s, t2s = t1, t2
-    else:
-        dirs = _lifted_agreement(ms, cl.n_states, n)
-        t1s = drop_invariant_subspace(t1, dirs)
-        t2s = drop_invariant_subspace(t2, dirs)
-        t3p = drop_invariant_subspace(t3p, dirs)
     return YoulaData(
         r_nom=rn,
         t1=t1,
@@ -180,10 +190,7 @@ def make_t_systems(
         t3=t3,
         plant=p_tilde,
         ms=ms,
-        t1_stable=t1s,
-        t2_stable=t2s,
-        t3_projected=t3p,
-        disagreement_basis=V,
+        disagreement_basis=ms.disagreement_basis(),
     )
 
 
@@ -200,17 +207,13 @@ def nominal_verdicts(p_tilde: Plant, r_nom, ms: MeasurementStructure) -> tuple:
     stable = rn.n_states == 0 or rn.is_schur()
     relative = check_e_constraint(rn, ms.indicators)
     cl = close_loop(p_tilde, rn)
-    dirs = _lifted_agreement(ms, cl.n_states, p_tilde.n_states)
+    dirs = _lifted_agreement(ms, cl.n_states)
     return stable, relative, is_internally_stable(cl, dirs), cl
 
 
-def _lifted_agreement(ms: MeasurementStructure, n_cl: int, n_plant: int) -> list:
-    dirs = []
-    for e in ms.agreement_directions():
-        v = np.zeros(n_cl)
-        v[:n_plant] = e
-        dirs.append(v)
-    return dirs
+def _lifted_agreement(ms: MeasurementStructure, n_cl: int) -> list:
+    """The indicators, padded with zeros on the nominal's states."""
+    return list(np.pad(ms.indicators, ((0, 0), (0, n_cl - ms.n_states))))
 
 
 def _nominal_loop(yd: YoulaData) -> StateSpace:
@@ -239,7 +242,7 @@ def q_from_r(yd: YoulaData, R) -> StateSpace:
     """
     Rss = as_statespace(R)
     cl = close_loop(yd.plant, Rss)
-    dirs = _lifted_agreement(yd.ms, cl.n_states, yd.plant.n_states)
+    dirs = _lifted_agreement(yd.ms, cl.n_states)
     if not is_internally_stable(cl, dirs):
         raise DomainError(
             "R does not internally stabilize the extended plant; the "

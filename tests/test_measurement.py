@@ -143,6 +143,18 @@ class TestValidateC2:
             assert ms.components == tuple(components_loop(ms.adjacency))
             assert sorted(len(c) for c in ms.components) == sorted(sizes)
 
+    def test_component_rows_match_a_per_row_scan(self, rng):
+        # isolated vertices own no rows; every other row lies in one component
+        for sizes in ([1, 4, 1, 6], [3, 3, 3], [9, 1, 1, 2, 5], [2], [1, 7]):
+            ms = validate_c2(disconnected_c2(rng, sizes))
+            for ci, comp in enumerate(ms.components):
+                scan = tuple(
+                    ell
+                    for ell in range(ms.n_measurements)
+                    if set(np.flatnonzero(ms.c2[ell]).tolist()) <= set(comp)
+                )
+                assert ms.component_rows[ci] == scan
+
 
 class TestRelativeMap:
     def test_paper_row(self):
@@ -166,7 +178,7 @@ class TestChain:
     def test_three_state_star(self):
         ms = validate_c2([[1.0, 0, -1], [0, 1, -1]])
         T, ordering = chain_transform(ms, (0, 1, 2))
-        rows = ms.component_rows(0)
+        rows = ms.component_rows[0]
         prod = T @ ms.c2[list(rows)][:, list(ordering)]
         assert np.array_equal(prod[:2], chain_matrix(3))
         assert abs(np.linalg.det(T)) >= 1.0 - 1e-12
@@ -185,7 +197,7 @@ class TestChain:
             ms = validate_c2(rand_connected_c2(rng, n, extra_edges=int(rng.integers(0, 3))))
             for comp in ms.components:
                 T, ordering = chain_transform(ms, comp)
-                rows = ms.component_rows(ms.components.index(comp))
+                rows = ms.component_rows[ms.components.index(comp)]
                 prod = T @ ms.c2[list(rows)][:, list(ordering)]
                 assert np.array_equal(prod[: len(comp) - 1], chain_matrix(len(comp)))
                 assert np.array_equal(T, np.round(T))
@@ -331,7 +343,7 @@ def _recover_loops(R, ms):
             continue
         T, ordering = chain_transform(ms, comp)
         perm = [comp.index(v) for v in ordering]
-        rows = list(ms.component_rows(ci))
+        rows = list(ms.component_rows[ci])
         block = R.taps[:, :, list(comp)][:, :, perm]
         gains[ci] = np.stack([solve_chain(block[k]) for k in range(R.horizon + 1)])
         for k in range(R.horizon + 1):

@@ -271,6 +271,88 @@ class TestRingCirculant:
         assert np.abs(kc2.taps - r_taps).max() <= 1e-8
 
 
+class TestOneRingRoute:
+    """The ring reaches the kernel through `solve` alone: its symmetry
+    search finds the dihedral group, and the result is the hand-built
+    dihedral map's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5])
+    def test_bitwise_equal_to_the_dihedral_map(self, n, gamma):
+        from relsyn.solver import _solve_columns
+
+        prob = build_ring_problem(n, gamma, 32)
+        want = _solve_columns(prob, *circulant_reduce(prob))
+        got = solve_ring_circulant(n, gamma, 32)
+        assert got.objective == want.objective
+        assert np.array_equal(got.q_opt.taps, want.q_opt.taps)
+        assert np.array_equal(got.k_opt.taps, want.k_opt.taps)
+
+    def test_never_calls_circulant_reduce(self, monkeypatch):
+        # the traced benchmark counts horizon_obj on both solve and
+        # circulant_reduce; a ring solve must pass only the first
+        from relsyn import solver
+
+        def forbidden(prob):
+            raise AssertionError("circulant_reduce called on a solve path")
+
+        calls = []
+        real = solver.solve
+        monkeypatch.setattr(solver, "circulant_reduce", forbidden)
+        monkeypatch.setattr(solver, "solve", lambda prob: calls.append(1) or real(prob))
+        solve_ring_circulant(6, 0.4, 8)
+        assert calls == [1]
+
+
+class TestStableMapsStayLazy:
+    """The eigenbasis route never reads the stable T systems, so a solve
+    on it never strips the agreement modes."""
+
+    @staticmethod
+    def _count_drops(monkeypatch):
+        from relsyn import youla
+
+        calls = []
+        real = youla.drop_invariant_subspace
+        monkeypatch.setattr(
+            youla, "drop_invariant_subspace", lambda *a: calls.append(1) or real(*a)
+        )
+        return calls
+
+    def test_built_once_on_first_access(self, monkeypatch):
+        calls = self._count_drops(monkeypatch)
+        yd = build_ring_problem(4, 0.4, 8).yd
+        assert calls == []
+        assert yd.t1_stable is yd.t1_stable
+        assert calls == [1]
+
+    def test_ring_and_path_solves_drop_nothing(self, monkeypatch):
+        from conftest import consensus_problem
+
+        calls = self._count_drops(monkeypatch)
+        solve_ring_circulant(8, 0.4, 16)
+        path = np.zeros((5, 6))
+        path[np.arange(5), np.arange(5)], path[np.arange(5), np.arange(1, 6)] = 1.0, -1.0
+        solve(consensus_problem(path, 0.3, 8))
+        assert calls == []
+
+    def test_observed_agreement_mode_rejected_by_the_solve(self):
+        # the performance output 0.6 x sees the agreement mode, which the
+        # Stein route cannot drop; make_t_systems accepts the plant
+        from relsyn import laplacian_rnom, ring_adjacency, ring_delay_structure
+
+        ring = ring_plant(6, 0.4)
+        C1 = np.vstack([0.6 * np.eye(6), np.zeros((6, 6))])
+        plant = Plant(A=ring.A, B1=ring.B1, B2=ring.B2, C1=C1, D12=ring.D12, C2=ring.C2)
+        ms = validate_c2(plant.C2)
+        yd = make_t_systems(build_tilde_plant(plant), laplacian_rnom(ring_adjacency(6)), ms)
+        prob = SynthesisProblem(yd=yd, structure=ring_delay_structure(6), ms=ms, horizon_q=8)
+        with pytest.raises(DomainError) as err:
+            solve(prob)
+        assert type(err.value) is DomainError
+        assert str(err.value) == "invariant subspace is observable; cannot be dropped"
+
+
 class TestFinalize:
     def test_r_opt_built_on_first_access(self, monkeypatch):
         from relsyn import solver, youla

@@ -18,6 +18,7 @@ from relsyn import (
     SynthesisProblem,
     build_ring_problem,
     build_tilde_plant,
+    circulant_reduce,
     delay_structure_from_adjacency,
     laplacian_rnom,
     make_t_systems,
@@ -192,11 +193,31 @@ class TestAutomorphisms:
         assert chain_order(gens, n) == math.factorial(n)
         assert _entry_orbits(gens, n).max() + 1 == 2
 
+    def test_search_memory_is_quadratic(self, monkeypatch):
+        # the ring's distance, Laplacian and deviation blocks at n = 300:
+        # one n x n x n boolean array alone would take 27 MB
+        import tracemalloc
+
+        n = 300
+        i = np.arange(n)
+        dist = np.abs(i[:, None] - i)
+        dist = np.minimum(dist, n - dist).astype(float)
+        X = np.stack([np.eye(n), (dist == 1) - 2.0 * np.eye(n), dist, np.eye(n) - 1.0 / n])
+        monkeypatch.setattr(solver, "_symmetry_blocks", lambda prob: X)
+        tracemalloc.start()
+        try:
+            gens = _automorphisms(None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gens) == 2
+        assert peak < n**3 / 2
+
     def test_exhausted_budget_keeps_valid_generators(self, monkeypatch):
         prob = build_ring_problem(8, 0.4, 8)
         X = _symmetry_blocks(prob)
         full = _automorphisms(prob)
-        monkeypatch.setattr(solver, "_SYMMETRY_BUDGET", 10)
+        monkeypatch.setattr(solver, "_SYMMETRY_BUDGET", 2)
         partial = _automorphisms(prob)
         assert 1 <= group_order(partial, 8) < group_order(full, 8)
         for g in partial:
@@ -244,6 +265,13 @@ class TestOrbitColumns:
             assert np.array_equal(q[:, g][:, :, g], q)
         assert res.objective == pytest.approx(full.objective, rel=1e-12)
         assert np.abs(q - full.q_opt.taps).max() <= 1e-8 * np.abs(q).max()
+
+    @pytest.mark.parametrize("n", list(range(2, 17)) + [32, 64])
+    def test_ring_search_gives_the_dihedral_map(self, n):
+        prob = build_ring_problem(n, 0.4, 32)
+        got = _orbit_columns(prob, _automorphisms(prob))
+        for g, want in zip(got, circulant_reduce(prob)):
+            assert np.array_equal(g, want)
 
     def test_ring_q_opt_is_exactly_symmetric(self):
         from relsyn import solve_ring_circulant
