@@ -44,12 +44,10 @@ from .lti import (
 from .measurement import (
     MeasurementStructure,
     RelativeDecomposition,
-    chain_matrix,
-    chain_transform,
     decompose,
     is_relative_map,
     recover_controller,
-    solve_chain,
+    recovered_structure,
     validate_c2,
 )
 from .solver import (
@@ -62,7 +60,6 @@ from .solver import (
     combined_r_structure,
     least_squares,
     recovered_r_fir,
-    recovered_structure,
     ring_adjacency,
     ring_measurement,
     ring_plant,

@@ -180,10 +180,6 @@ class FirSystem:
     def identity(p: int) -> "FirSystem":
         return FirSystem(np.eye(p)[np.newaxis])
 
-    @staticmethod
-    def from_taps(taps) -> "FirSystem":
-        return FirSystem(np.stack([np.atleast_2d(np.asarray(t, float)) for t in taps]))
-
     def to_statespace(self) -> StateSpace:
         """Shift-register realization (state dimension m * horizon)."""
         T, p, m = self.horizon, self.n_outputs, self.n_inputs
@@ -283,9 +279,6 @@ class Plant:
 
     def pzu(self) -> StateSpace:
         return StateSpace(self.A, self.B2, self.C1, self.D12)
-
-    def pyw(self) -> StateSpace:
-        return StateSpace(self.A, self.B1, self.C2, np.zeros((self.n_meas, self.n_dist)))
 
     def pyu(self) -> StateSpace:
         return StateSpace(self.A, self.B2, self.C2, np.zeros((self.n_meas, self.n_ctrl)))

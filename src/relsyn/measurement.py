@@ -5,19 +5,21 @@ a graph on the states: vertices are states, edges are measured differences.
 This module validates such matrices, derives the graph (components and 0/1
 indicator vectors), tests and decomposes relative maps, and constructively
 recovers an output-feedback gain K from a state-feedback map R satisfying
-K C2 = R via chain coordinates on a spanning tree of each component.
+K C2 = R.  On the rows of a spanning tree of each component C2 has full
+row rank, so K is unique there: the gain on tree row (v, parent v) is the
+sum of R's columns over the subtree of v.  Every other row gets zero.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionError, DomainError, MeasurementMatrixError
+from .errors import DecompositionError, DimensionError, MeasurementMatrixError
 from .lti import FirSystem, Matrix, StateSpace, _as_matrix, _freeze
+from .structure import InfoStructure
 
 #: Per-row absolute-sum tolerance below which a map counts as relative.
 RELATIVE_TOL = 1e-12
@@ -38,9 +40,14 @@ class MeasurementStructure:
         smallest vertex.
     indicators : (N, n) matrix
         Row i is the 0/1 indicator vector of component i.
-    chain_transforms : tuple
-        :func:`chain_transform` of each component (None for a single
-        vertex), built on first access and then kept.
+    recovery_maps : tuple
+        The recovery map Z of each component, built on first access and
+        then kept: the c x p_c signed subtree incidence matrix of the
+        breadth-first spanning tree from the smallest vertex (neighbours
+        ascending).  The column of tree row (v, parent v) is +-1 on the
+        subtree of v, signed so that the row reads x_v - x_parent; the
+        columns of the other rows are zero.  Rows and columns follow
+        `components[i]` and `component_rows[i]`.
     component_rows : tuple of tuples
         The measurement rows of each component, ascending, built on first
         access and then kept.
@@ -64,16 +71,28 @@ class MeasurementStructure:
         return len(self.components)
 
     @cached_property
-    def chain_transforms(self) -> tuple:
-        out = []
-        for comp in self.components:
-            if len(comp) == 1:
-                out.append(None)
-                continue
-            T, ordering = chain_transform(self, comp)
+    def recovery_maps(self) -> tuple:
+        trees, parent = _bfs_forest(self.adjacency)
+        plus = np.argmax(self.c2 == 1.0, axis=1).tolist()
+        minus = np.argmax(self.c2 == -1.0, axis=1).tolist()
+        row_of = {}
+        for ell, (i, j) in enumerate(zip(plus, minus)):
+            row_of[i, j] = row_of[j, i] = ell
+        maps = []
+        for comp, tree, rows in zip(self.components, trees, self.component_rows):
+            local = {v: k for k, v in enumerate(comp)}
+            col = {ell: k for k, ell in enumerate(rows)}
+            # column k becomes the subtree of comp[k]: children come after
+            # their parent in breadth-first order, so leaves go first
+            subtree = np.eye(len(comp))
+            Z = np.zeros((len(comp), len(rows)))
+            for v in reversed(tree[1:]):
+                ell = row_of[v, parent[v]]
+                Z[:, col[ell]] = self.c2[ell, v] * subtree[:, local[v]]
+                subtree[:, local[parent[v]]] += subtree[:, local[v]]
             # read-only: every recovery from this structure shares it
-            out.append((_freeze(T), ordering))
-        return tuple(out)
+            maps.append(_freeze(Z))
+        return tuple(maps)
 
     @cached_property
     def component_rows(self) -> tuple:
@@ -143,7 +162,7 @@ def validate_c2(C2) -> MeasurementStructure:
     adjacency = np.zeros((n, n))
     adjacency[i, j] = adjacency[j, i] = 1.0
 
-    components = _bfs_components(adjacency)
+    components = [tuple(sorted(tree)) for tree in _bfs_forest(adjacency)[0]]
     indicators = np.zeros((len(components), n))
     for ci, comp in enumerate(components):
         indicators[ci, list(comp)] = 1.0
@@ -155,25 +174,28 @@ def validate_c2(C2) -> MeasurementStructure:
     )
 
 
-def _bfs_components(adjacency: Matrix) -> list:
-    """Connected components as sorted tuples, ordered by smallest vertex:
-    one breadth-first search per unvisited root, roots in ascending order,
-    over neighbour lists built once."""
+def _bfs_forest(adjacency: Matrix) -> tuple:
+    """Breadth-first spanning forest: one search per unvisited root, roots
+    in ascending order, neighbours ascending, over neighbour lists built
+    once.  Returns each tree's vertices in visiting order (so ordered by
+    smallest vertex) and each vertex's parent (-1 at a root)."""
     nbrs = [np.flatnonzero(row).tolist() for row in adjacency]
     seen = [False] * len(nbrs)
-    components = []
+    parent = [-1] * len(nbrs)
+    trees = []
     for root in range(len(nbrs)):
         if seen[root]:
             continue
         seen[root] = True
-        comp = [root]
-        for v in comp:
+        tree = [root]
+        for v in tree:
             for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
-                    comp.append(w)
-        components.append(tuple(sorted(comp)))
-    return components
+                    parent[w] = v
+                    tree.append(w)
+        trees.append(tree)
+    return trees, parent
 
 
 def is_relative_map(F, tol: float = RELATIVE_TOL) -> bool:
@@ -183,150 +205,20 @@ def is_relative_map(F, tol: float = RELATIVE_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# chain coordinates
-# ---------------------------------------------------------------------------
-
-
-def chain_matrix(c: int) -> Matrix:
-    """The (c-1) x c first-difference matrix with rows x_k - x_{k+1}."""
-    M = np.zeros((c - 1, c))
-    for k in range(c - 1):
-        M[k, k] = 1.0
-        M[k, k + 1] = -1.0
-    return M
-
-
-def chain_transform(ms: MeasurementStructure, component) -> tuple:
-    """Invertible T mapping the component's measurements to chain form.
-
-    Returns (T, ordering) where `ordering` is a vertex sequence
-    v_1, ..., v_c of the component and T is a square integer matrix over
-    the component's measurement rows such that the first c-1 rows of
-    T @ C2[rows][:, ordering] equal the chain matrix producing
-    x_{v_k} - x_{v_{k+1}}.  Construction: breadth-first spanning tree from
-    the smallest vertex (neighbors in ascending order), depth-first
-    preorder chain ordering, and each chain difference written as the
-    signed tree-path sum of measured differences.  Surplus measurement
-    rows (off-tree or duplicate-role) are passed through unchanged, which
-    makes T invertible.
-    """
-    comp = tuple(sorted(component))
-    if comp not in ms.components:
-        raise DomainError(f"{comp} is not a component of the measurement graph")
-    rows = ms.component_rows[ms.components.index(comp)]
-    c = len(comp)
-    p_c = len(rows)
-    row_pos = {ell: k for k, ell in enumerate(rows)}
-
-    if c == 1:
-        return np.zeros((0, 0)), comp
-
-    # local adjacency restricted to the component, with representative rows
-    edge_row = {}
-    for ell in rows:
-        i = int(np.flatnonzero(ms.c2[ell] == 1.0)[0])
-        j = int(np.flatnonzero(ms.c2[ell] == -1.0)[0])
-        key = (min(i, j), max(i, j))
-        if key not in edge_row or ell < edge_row[key]:
-            edge_row[key] = ell
-
-    # BFS spanning tree from the smallest vertex, neighbors ascending
-    root = comp[0]
-    parent = {root: None}
-    order = deque([root])
-    children = {v: [] for v in comp}
-    while order:
-        v = order.popleft()
-        for w in comp:
-            if w not in parent and (min(v, w), max(v, w)) in edge_row:
-                parent[w] = v
-                children[v].append(w)
-                order.append(w)
-    if len(parent) != c:
-        raise DomainError("component is not connected in the measurement graph")
-
-    # depth-first preorder gives the chain ordering
-    ordering = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        ordering.append(v)
-        for w in reversed(sorted(children[v])):
-            stack.append(w)
-    ordering = tuple(ordering)
-
-    depth = {root: 0}
-    for v in ordering[1:]:
-        depth[v] = depth[parent[v]] + 1
-
-    def edge_coeff(child):
-        """Signed row expressing x_child - x_parent(child)."""
-        par = parent[child]
-        ell = edge_row[(min(child, par), max(child, par))]
-        sign = 1.0 if ms.c2[ell, child] == 1.0 else -1.0
-        return ell, sign
-
-    T = np.zeros((p_c, p_c))
-    tree_rows = set()
-    for k in range(c - 1):
-        u, v = ordering[k], ordering[k + 1]
-        # walk u and v up to their common ancestor, accumulating x_u - x_v
-        coeffs = {}
-        a, b = u, v
-        while a != b:
-            if depth[a] >= depth[b]:
-                ell, sign = edge_coeff(a)
-                coeffs[ell] = coeffs.get(ell, 0.0) + sign
-                a = parent[a]
-            else:
-                ell, sign = edge_coeff(b)
-                coeffs[ell] = coeffs.get(ell, 0.0) - sign
-                b = parent[b]
-        for ell, val in coeffs.items():
-            T[k, row_pos[ell]] = val
-            tree_rows.add(ell)
-
-    # every tree edge lies on some consecutive-pair path, so exactly the
-    # off-tree rows remain; identity rows on them keep T invertible
-    surplus = [ell for ell in rows if ell not in tree_rows]
-    for k, ell in enumerate(surplus):
-        T[c - 1 + k, row_pos[ell]] = 1.0
-    return T, ordering
-
-
-def solve_chain(F, tol: float = RELATIVE_TOL) -> Matrix:
-    """Solve G @ chain_matrix = F for a relative matrix F.
-
-    Column i of G is the cumulative sum of the first i columns of F; the
-    construction telescopes exactly, and the missing n-th cumulative sum
-    vanishes because the rows of F sum to zero.
-    """
-    F = _as_matrix(F, "F")
-    if not is_relative_map(F, tol):
-        raise DomainError("F is not a relative map (nonzero row sums)")
-    return np.cumsum(F, axis=1)[:, :-1]
-
-
-# ---------------------------------------------------------------------------
 # decomposition and recovery
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RelativeDecomposition:
-    """Per-component relative blocks of a map, with chain coefficients.
+    """Per-component relative blocks of a map.
 
-    `blocks[i]` acts on the i-th component's state sub-vector (columns in
-    sorted component order); `chain_gains[i]` are the chain coefficients of
-    the block under `orderings[i]`: column k of `chain_gains[i]`
-    multiplies the difference of vertices `orderings[i][k]` and
-    `orderings[i][k + 1]`.
+    `blocks[i]` acts on the i-th component's state sub-vector, columns in
+    sorted component order; each of its rows sums to zero at every tap.
     """
 
     structure: MeasurementStructure
     blocks: tuple
-    orderings: tuple
-    chain_gains: tuple
 
     def reassemble(self) -> FirSystem:
         """Place the blocks back onto full state coordinates."""
@@ -371,39 +263,23 @@ def decompose(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> Relativ
                 component=ci,
                 tap=int(bad[0]),
             )
-        blocks.append(FirSystem(block.copy()))
-
-    orderings = []
-    gains = []
-    for ci, comp in enumerate(ms.components):
-        if len(comp) == 1:
-            orderings.append((comp[0],))
-            gains.append(FirSystem.zero(fir.n_outputs, 0, fir.horizon))
-            continue
-        ordering = ms.chain_transforms[ci][1]
-        perm = [comp.index(v) for v in ordering]
-        # solve_chain on every tap at once; the relative check is above
-        G = np.cumsum(blocks[ci].taps[:, :, perm], axis=2)[:, :, :-1]
-        orderings.append(ordering)
-        gains.append(FirSystem(G))
-    return RelativeDecomposition(
-        structure=ms,
-        blocks=tuple(blocks),
-        orderings=tuple(orderings),
-        chain_gains=tuple(gains),
-    )
+        blocks.append(FirSystem(block))
+    return RelativeDecomposition(structure=ms, blocks=tuple(blocks))
 
 
 def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
     """Recover K with K C2 = R, in the same representation as R.
 
     For a FIR map every tap is recovered independently (matching Markov
-    parameters suffices), and a static matrix is the FIR map of one tap.
-    For a state-space map the realization itself must be relative -- its
-    B and D matrices are recovered, leaving A and C untouched -- so that
-    K C2 = R holds exactly at the realization level.  Measurement rows
-    outside each component's spanning tree receive zeros.  Raises
-    :class:`DecompositionError` when R does not decompose.
+    parameters suffices), and a static matrix is the FIR map of one tap:
+    after :func:`decompose` checks that R is relative, each component's
+    gains are its block times the recovery map, K[:, rows] = R[:, comp] Z.
+    The gain on tree row (v, parent v) is then the sum of R's columns over
+    the subtree of v, and the rows outside each component's spanning tree
+    receive zeros.  For a state-space map the realization itself must be
+    relative -- its B and D matrices are recovered, leaving A and C
+    untouched -- so that K C2 = R holds exactly at the realization level.
+    Raises :class:`DecompositionError` when R does not decompose.
     """
     if isinstance(R, StateSpace):
         Bk = recover_controller(R.B, ms, tol)
@@ -412,10 +288,26 @@ def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
     fir = _as_fir(R)
     dec = decompose(fir, ms, tol)
     K = np.zeros((fir.horizon + 1, fir.n_outputs, ms.n_measurements))
-    for ci, (comp, chain) in enumerate(zip(ms.components, ms.chain_transforms)):
-        if chain is None:
-            continue
-        rows = list(ms.component_rows[ci])
-        K[:, :, rows] += dec.chain_gains[ci].taps @ chain[0][: len(comp) - 1]
+    for rows, block, Z in zip(ms.component_rows, dec.blocks, ms.recovery_maps):
+        K[:, :, list(rows)] = block.taps @ Z
     out = FirSystem(K)
     return out if isinstance(R, FirSystem) else out.taps[0]
+
+
+def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) -> InfoStructure:
+    """Minimum-delay bound on K = :func:`recover_controller` (R) for R in
+    `r_structure`.
+
+    For a relative R the gain on tree row (v, parent v) is both the sum of
+    R's columns over the subtree of v and minus their sum over the rest of
+    the component, so it vanishes below the larger of the two minimum
+    delays.  An off-tree row's subtree is empty, so its bound is inf.
+    """
+    out = np.full((r_structure.rows, ms.n_measurements), np.inf)
+    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
+        delay = r_structure.min_delay[:, list(comp), None]
+        subtree = Z != 0
+        inside = np.where(subtree, delay, np.inf).min(axis=1)
+        outside = np.where(subtree, np.inf, delay).min(axis=1)
+        out[:, list(rows)] = np.maximum(inside, outside)
+    return InfoStructure(out)

@@ -45,7 +45,12 @@ from .lti import (
     markov,
     series,
 )
-from .measurement import MeasurementStructure, recover_controller, validate_c2
+from .measurement import (
+    MeasurementStructure,
+    recover_controller,
+    recovered_structure,
+    validate_c2,
+)
 from .structure import (
     InfoStructure,
     membership,
@@ -875,27 +880,6 @@ def combined_r_structure(structure: InfoStructure, yd: YoulaData) -> InfoStructu
     """
     nominal = transfer_pattern(yd.r_nom, numerical=True)
     return InfoStructure(np.minimum(structure.min_delay, nominal.min_delay))
-
-
-def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) -> InfoStructure:
-    """Minimum-delay bound induced on the recovered K by the chain recovery.
-
-    Column j of the chain gains is a cumulative sum over an ordering
-    prefix, and each measurement column of K combines the gains selected
-    by the chain transform, so the bound is the min of the contributing
-    entries' delays.
-    """
-    l = r_structure.rows
-    out = np.full((l, ms.n_measurements), np.inf)
-    for ci, comp in enumerate(ms.components):
-        if len(comp) == 1:
-            continue
-        T, ordering = ms.chain_transforms[ci]
-        rows = list(ms.component_rows[ci])
-        gain_delay = np.minimum.accumulate(r_structure.min_delay[:, list(ordering[:-1])], axis=1)
-        contributing = T[: len(comp) - 1] != 0
-        out[:, rows] = np.where(contributing, gain_delay[:, :, None], np.inf).min(axis=1)
-    return InfoStructure(out)
 
 
 def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:

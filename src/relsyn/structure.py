@@ -217,19 +217,10 @@ class ConstraintSystem:
     cols: int
     constraints: tuple
 
-    @property
-    def n_vars(self) -> int:
-        return (self.horizon + 1) * self.rows * self.cols
-
     def var_index(self, tap: int, row: int, col: int) -> int:
         if not (0 <= tap <= self.horizon and 0 <= row < self.rows and 0 <= col < self.cols):
             raise DimensionError(f"variable ({tap}, {row}, {col}) out of range")
         return (tap * self.rows + row) * self.cols + col
-
-    def var_of(self, index: int) -> tuple:
-        tap, rest = divmod(index, self.rows * self.cols)
-        row, col = divmod(rest, self.cols)
-        return tap, row, col
 
     def satisfied_by(self, Q: FirSystem, tol: float = 0.0) -> bool:
         flat = Q.padded(self.horizon).taps[: self.horizon + 1].reshape(-1)

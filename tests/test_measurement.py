@@ -1,22 +1,29 @@
 """Measurement graphs, relative decomposition and controller recovery."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsyn import (
     DecompositionError,
-    DomainError,
     FirSystem,
+    InfoStructure,
     MeasurementMatrixError,
+    MeasurementStructure,
     StateSpace,
-    chain_matrix,
-    chain_transform,
+    build_ring_problem,
+    combined_r_structure,
     decompose,
     fir_compose,
     is_relative_map,
     markov,
+    membership,
     recover_controller,
-    solve_chain,
+    recovered_structure,
+    solve,
     validate_c2,
 )
 from conftest import rand_connected_c2, rand_relative_fir
@@ -54,6 +61,28 @@ def components_loop(adjacency):
                     queue.append(int(w))
         components.append(tuple(sorted(comp)))
     return sorted(components, key=lambda c: c[0])
+
+
+def chain_c2(c):
+    """Chain sensing: row k reads x_k - x_{k+1}."""
+    return np.eye(c - 1, c) - np.eye(c - 1, c, k=1)
+
+
+def bfs_tree_rows(C2, comp):
+    """Rows of the breadth-first spanning tree of `comp` from its smallest
+    vertex, neighbours in ascending order."""
+    row_of = {}
+    for ell, row in enumerate(np.asarray(C2)):
+        i, j = np.flatnonzero(row).tolist()
+        row_of[i, j] = row_of[j, i] = ell
+    seen, queue, rows = {comp[0]}, [comp[0]], []
+    for v in queue:
+        for w in comp:
+            if w not in seen and (v, w) in row_of:
+                seen.add(w)
+                queue.append(w)
+                rows.append(row_of[v, w])
+    return sorted(rows)
 
 
 def disconnected_c2(rng, sizes):
@@ -167,59 +196,29 @@ class TestRelativeMap:
         assert is_relative_map(np.zeros((3, 4)))
 
 
-class TestChain:
-    def test_single_edge(self):
-        ms = validate_c2([[1.0, -1]])
-        T, ordering = chain_transform(ms, (0, 1))
-        assert T.tolist() == [[1.0]]
-        assert ordering == (0, 1)
-        assert (T @ ms.c2[:, list(ordering)]).tolist() == [[1.0, -1.0]]
-
-    def test_three_state_star(self):
-        ms = validate_c2([[1.0, 0, -1], [0, 1, -1]])
-        T, ordering = chain_transform(ms, (0, 1, 2))
-        rows = ms.component_rows[0]
-        prod = T @ ms.c2[list(rows)][:, list(ordering)]
-        assert np.array_equal(prod[:2], chain_matrix(3))
-        assert abs(np.linalg.det(T)) >= 1.0 - 1e-12
-
-    def test_all_pairs_surplus_rows(self):
-        ms = validate_c2(ALL_PAIRS_4)
-        T, ordering = chain_transform(ms, (0, 1, 2, 3))
-        assert T.shape == (6, 6)
-        assert abs(np.linalg.det(T)) > 1e-9  # invertible
-        prod = T @ ms.c2[:, list(ordering)]
-        assert np.array_equal(prod[:3], chain_matrix(4))
-
-    def test_chain_product_is_exact_integers(self, rng):
-        for trial in range(20):
-            n = int(rng.integers(2, 7))
-            ms = validate_c2(rand_connected_c2(rng, n, extra_edges=int(rng.integers(0, 3))))
-            for comp in ms.components:
-                T, ordering = chain_transform(ms, comp)
-                rows = ms.component_rows[ms.components.index(comp)]
-                prod = T @ ms.c2[list(rows)][:, list(ordering)]
-                assert np.array_equal(prod[: len(comp) - 1], chain_matrix(len(comp)))
-                assert np.array_equal(T, np.round(T))
-
-
 class TestSolveChain:
+    """Recovery on chain sensing, rows x_k - x_{k+1}: the gains are the
+    cumulative sums of R's columns."""
+
     def test_paper_example(self):
         # 3 x1 - x2 - 2 x3 = 3 (x1 - x2) + 2 (x2 - x3)
-        assert solve_chain([[3.0, -1.0, -2.0]]).tolist() == [[3.0, 2.0]]
+        K = recover_controller([[3.0, -1.0, -2.0]], validate_c2(chain_c2(3)))
+        assert K.tolist() == [[3.0, 2.0]]
 
     def test_zero(self):
-        assert np.array_equal(solve_chain(np.zeros((2, 4))), np.zeros((2, 3)))
+        K = recover_controller(np.zeros((2, 4)), validate_c2(chain_c2(4)))
+        assert np.array_equal(K, np.zeros((2, 3)))
 
     def test_multiply_back(self, rng):
         F = rng.normal(size=(4, 6))
         F -= F.mean(axis=1, keepdims=True)
-        G = solve_chain(F)
-        assert np.abs(G @ chain_matrix(6) - F).max() <= 1e-12
+        G = recover_controller(F, validate_c2(chain_c2(6)))
+        assert np.abs(G @ chain_c2(6) - F).max() <= 1e-12
+        assert np.abs(G - np.cumsum(F, axis=1)[:, :-1]).max() <= 1e-12
 
     def test_non_relative_rejected(self):
-        with pytest.raises(DomainError):
-            solve_chain([[1.0, 0.0]])
+        with pytest.raises(DecompositionError):
+            recover_controller([[1.0, 0.0]], validate_c2(chain_c2(2)))
 
 
 class TestRecovery:
@@ -323,66 +322,10 @@ class TestDecompose:
         R = rand_relative_fir(rng, ms, 2, 3)
         dec = decompose(R, ms)
         assert np.abs(dec.reassemble().taps - R.taps).max() == 0.0
-        # chain gains reproduce each block through the chain matrix
-        for ci, comp in enumerate(ms.components):
-            if len(comp) == 1:
-                continue
-            perm = [comp.index(v) for v in dec.orderings[ci]]
-            for k in range(R.horizon + 1):
-                lhs = dec.chain_gains[ci].taps[k] @ chain_matrix(len(comp))
-                assert np.abs(lhs - dec.blocks[ci].taps[k][:, perm]).max() <= 1e-12
-
-
-def _recover_loops(R, ms):
-    """Chain gains and K tap by tap with solve_chain: the reference for
-    the batched decompose/recover_controller."""
-    gains = {}
-    K = np.zeros((R.horizon + 1, R.n_outputs, ms.n_measurements))
-    for ci, comp in enumerate(ms.components):
-        if len(comp) == 1:
-            continue
-        T, ordering = chain_transform(ms, comp)
-        perm = [comp.index(v) for v in ordering]
-        rows = list(ms.component_rows[ci])
-        block = R.taps[:, :, list(comp)][:, :, perm]
-        gains[ci] = np.stack([solve_chain(block[k]) for k in range(R.horizon + 1)])
-        for k in range(R.horizon + 1):
-            K[k][:, rows] += gains[ci][k] @ T[: len(comp) - 1]
-    return gains, K
 
 
 class TestBatchedRecovery:
     STRUCTURES = {"two_pairs": TWO_PAIRS, "five_state": FIVE_STATE, "all_pairs": ALL_PAIRS_4}
-
-    @pytest.mark.parametrize("name", sorted(STRUCTURES))
-    def test_matches_per_tap_chain_solves(self, rng, name):
-        ms = validate_c2(self.STRUCTURES[name])
-        for l, horizon in ((1, 0), (2, 5), (3, 12)):
-            R = rand_relative_fir(rng, ms, l, horizon)
-            gains, K_ref = _recover_loops(R, ms)
-            dec = decompose(R, ms)
-            for ci, G in gains.items():
-                # the same cumulative sums in the same order
-                assert np.array_equal(dec.chain_gains[ci].taps, G)
-            K = recover_controller(R, ms).taps
-            # one matrix product per tap, batched or not: roundoff only
-            tol = 64 * np.finfo(float).eps * max(np.abs(K_ref).max(), 1.0)
-            assert np.abs(K - K_ref).max() <= tol
-
-    def test_chain_transform_built_once_per_component(self, rng, monkeypatch):
-        import relsyn.measurement as measurement
-
-        ms = validate_c2(FIVE_STATE)
-        calls = []
-        original = measurement.chain_transform
-
-        def spy(ms_, comp):
-            calls.append(comp)
-            return original(ms_, comp)
-
-        monkeypatch.setattr(measurement, "chain_transform", spy)
-        recover_controller(rand_relative_fir(rng, ms, 2, 4), ms)
-        assert sorted(calls) == sorted(c for c in ms.components if len(c) > 1)
 
     @pytest.mark.parametrize(
         "name, bad, expected",
@@ -404,6 +347,125 @@ class TestBatchedRecovery:
             with pytest.raises(DecompositionError) as err:
                 fn(FirSystem(taps), ms)
             assert (err.value.component, err.value.tap) == expected
+
+
+#: recovered_structure of chain-coordinate recovery (prefix sums along a
+#: depth-first ordering) on the structures of TestRecoveryMap.
+CHAIN_BOUNDS = {
+    "two_pairs": [[0, 1], [np.inf, 0]],
+    "five_state": [[0, 2], [2, 1]],
+    "all_pairs": [[0, 0, 0, np.inf, np.inf, np.inf], [1, 0, 0, np.inf, np.inf, np.inf]],
+    "ring5": [[0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [2, 2, 0, 0], [0, 0, 0, 0]],
+}
+
+
+def relative_fir_in(rng, ms, r, horizon):
+    """Random integer-valued FIR in the delay structure `r` whose rows sum
+    to exactly zero on each component at every tap."""
+    l, n = r.shape
+    taps = np.zeros((horizon + 1, l, n))
+    for comp in ms.components:
+        for k in range(horizon + 1):
+            for i in range(l):
+                live = [j for j in comp if k >= r[i, j]]
+                if len(live) > 1:
+                    vals = rng.integers(-1000, 1001, size=len(live) - 1)
+                    taps[k, i, live] = np.append(vals, -vals.sum())
+    return FirSystem(taps)
+
+
+class TestRecoveryMap:
+    STATIC = {"two_pairs": TWO_PAIRS, "five_state": FIVE_STATE, "all_pairs": ALL_PAIRS_4}
+    DELAYS = {
+        4: np.array([[0, 2, 1, 3], [np.inf, 1, 0, 2]]),
+        5: np.array([[0, 2, 1, 3, np.inf], [2, 1, 0, np.inf, 1]]),
+    }
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_k_is_the_unique_solution_on_the_bfs_tree(self, data):
+        # surplus rows, isolated vertices, random orientation and row order
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        sizes.append(data.draw(st.integers(2, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = sum(sizes)
+        perm = rng.permutation(n)
+        blocks, start = [], 0
+        for size in sizes:
+            if size > 1:
+                chords = data.draw(st.integers(0, size * (size - 1) // 2 - (size - 1)))
+                block = rand_connected_c2(rng, size, extra_edges=chords)
+                full = np.zeros((block.shape[0], n))
+                full[:, perm[start : start + size]] = block
+                blocks.append(full)
+            start += size
+        C2 = np.vstack(blocks)
+        rng.shuffle(C2)
+        ms = validate_c2(C2)
+        R = rand_relative_fir(rng, ms, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+        K = recover_controller(R, ms).taps
+        tree = []
+        for comp in ms.components:
+            if len(comp) == 1:
+                continue
+            rows = bfs_tree_rows(C2, comp)
+            tree += rows
+            for k in range(R.horizon + 1):
+                want = np.linalg.lstsq(C2[rows][:, comp].T, R.taps[k][:, comp].T, rcond=None)[0]
+                assert np.abs(K[k][:, rows] - want.T).max() <= 1e-12 * (1.0 + np.abs(R.taps).max())
+        off = np.setdiff1d(np.arange(ms.n_measurements), tree)
+        assert np.all(K[:, :, off] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bound_holds_and_is_attained(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(s) for s in rng.integers(1, 6, size=3)] + [int(rng.integers(2, 6))]
+        ms = validate_c2(disconnected_c2(rng, sizes))
+        r = rng.choice([0.0, 1.0, 2.0, 3.0, np.inf], size=(3, ms.n_states))
+        bound = recovered_structure(InfoStructure(r), ms).min_delay
+        R = relative_fir_in(rng, ms, r, horizon=5)
+        assert membership(R, InfoStructure(r))
+        K = recover_controller(R, ms)
+        assert membership(K, InfoStructure(bound))
+        # a generic R reaches every finite bound
+        for i, row in np.argwhere(np.isfinite(bound)):
+            assert K.taps[int(bound[i, row]), i, row] != 0.0
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_BOUNDS))
+    def test_bound_at_least_the_chain_bound(self, name):
+        if name == "ring5":
+            prob = build_ring_problem(5, 0.4, 8)
+            ms, r = prob.ms, combined_r_structure(prob.structure, prob.yd)
+        else:
+            ms = validate_c2(self.STATIC[name])
+            r = InfoStructure(self.DELAYS[ms.n_states])
+        bound = recovered_structure(r, ms).min_delay
+        assert np.all(bound >= np.array(CHAIN_BOUNDS[name]))
+
+    def test_recovery_map_built_once_per_structure(self, rng, monkeypatch):
+        # recover_controller and recovered_structure share one map per
+        # structure, built on first use and never by validate_c2
+        built = []
+        original = MeasurementStructure.__dict__["recovery_maps"].func
+
+        def spy(ms):
+            built.append(ms)
+            return original(ms)
+
+        prop = cached_property(spy)
+        prop.__set_name__(MeasurementStructure, "recovery_maps")
+        monkeypatch.setattr(MeasurementStructure, "recovery_maps", prop)
+        ms = validate_c2(FIVE_STATE)
+        assert built == []
+        for _ in range(2):
+            recover_controller(rand_relative_fir(rng, ms, 2, 4), ms)
+        recovered_structure(InfoStructure(self.DELAYS[5]), ms)
+        assert len(built) == 1 and built[0] is ms
+        for n in (4, 6):
+            built.clear()
+            prob = build_ring_problem(n, 0.4, 6)
+            solve(prob)
+            assert len(built) == 1 and built[0] is prob.ms
 
 
 class TestStructuralInvariants:

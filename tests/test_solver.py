@@ -379,27 +379,6 @@ class TestFinalize:
             assert res.r_opt is r_opt
         assert len(calls) == 2
 
-    def test_chain_transform_once_per_component_per_solve(self, monkeypatch):
-        # recover_controller and recovered_structure share the structure's
-        # transforms, built on first use
-        from relsyn import measurement
-
-        original = measurement.chain_transform
-        calls = []
-
-        def spy(ms, comp):
-            calls.append(comp)
-            return original(ms, comp)
-
-        monkeypatch.setattr(measurement, "chain_transform", spy)
-        for n in (4, 6):
-            calls.clear()
-            solve(build_ring_problem(n, 0.4, 6))
-            assert calls == [tuple(range(n))]
-        calls.clear()
-        solve_ring_circulant(5, 0.4, 6)
-        assert calls == [tuple(range(5))]
-
     @pytest.mark.parametrize("n, gamma, horizon_q", [(5, 0.4, 8), (8, 0.2, 32)])
     def test_recovered_r_fir_needs_no_padding(self, n, gamma, horizon_q):
         from relsyn.solver import _controller_horizon, recovered_r_fir
