@@ -43,9 +43,8 @@ from .lti import (
 )
 from .measurement import (
     MeasurementStructure,
-    RelativeDecomposition,
+    check_relative,
     decompose,
-    is_relative_map,
     recover_controller,
     recovered_structure,
     validate_c2,

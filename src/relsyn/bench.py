@@ -27,16 +27,18 @@ from .solver import (
     DEFAULT_Q_HORIZON,
     SynthesisProblem,
     SynthesisResult,
-    _controller_horizon,
     combined_r_structure,
     recovered_r_fir,
     solve,
     solve_ring_circulant,
 )
 from .structure import InfoStructure, is_qi, membership, qi_certificate, transfer_pattern
-from .youla import E_CONSTRAINT_TOL, build_tilde_plant, make_t_systems
+from .youla import build_tilde_plant, make_t_systems
 
 CSV_HEADER = "n,gamma,J,J_per_node,solve_ms,residual"
+
+#: Bound on max|K C2 - R| in :func:`verify_synthesis`, relative to 1 + max|R|.
+KC2_MATCH_TOL = 1e-10
 
 #: Trajectory norms above this are treated as divergence.
 OVERFLOW_GUARD = 1e9
@@ -153,7 +155,7 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
     prob = SynthesisProblem(yd=yd, structure=uptri, ms=ms, horizon_q=horizon_q)
     res = solve(prob)
 
-    R = recovered_r_fir(yd, res.q_opt, _controller_horizon(prob))
+    R = recovered_r_fir(yd, res.q_opt, res.k_opt.horizon)
     K = star_recover_upper_triangular(R, n)
     in_structure = membership(K, S)
     kc2 = fir_compose(K, FirSystem(ms.c2[np.newaxis]))
@@ -622,12 +624,13 @@ def verify_synthesis(prob: SynthesisProblem, res: SynthesisResult) -> dict:
     structure.
 
     K comes from (C2 N, Q~) and R from (N, Q) by the tap recursion, two
-    independent routes; max|K C2 - R| is held to E_CONSTRAINT_TOL relative
-    to 1 + max|R|, since the taps of K grow with R's."""
+    independent routes, on K's window; max|K C2 - R| is held to
+    KC2_MATCH_TOL relative to 1 + max|R|, since the taps of K grow with
+    R's."""
     ms = prob.ms
     kc2 = fir_compose(res.k_opt, FirSystem(ms.c2[np.newaxis]))
-    R = recovered_r_fir(prob.yd, res.q_opt, _controller_horizon(prob))
-    tol = E_CONSTRAINT_TOL * (1.0 + float(np.abs(R.taps).max(initial=0.0)))
+    R = recovered_r_fir(prob.yd, res.q_opt, res.k_opt.horizon)
+    tol = KC2_MATCH_TOL * (1.0 + float(np.abs(R.taps).max(initial=0.0)))
     k_structure = recovered_structure(
         combined_r_structure(prob.structure, prob.yd), ms
     )

@@ -162,13 +162,6 @@ class FirSystem:
             return self.padded(horizon)
         return FirSystem(self.taps[: horizon + 1])
 
-    def shifted(self, delay: int) -> "FirSystem":
-        """Multiply by z^-delay (prepend `delay` zero taps)."""
-        if delay < 0:
-            raise DomainError("delay must be nonnegative")
-        zeros = np.zeros((delay, self.n_outputs, self.n_inputs))
-        return FirSystem(np.concatenate([zeros, self.taps]))
-
     def __neg__(self) -> "FirSystem":
         return FirSystem(-self.taps)
 
@@ -261,18 +254,6 @@ class Plant:
     @property
     def n_meas(self) -> int:
         return self.C2.shape[0]
-
-    def ss(self) -> StateSpace:
-        """The plant as one system, inputs [w, u], outputs [z, y]."""
-        B = np.hstack([self.B1, self.B2])
-        C = np.vstack([self.C1, self.C2])
-        D = np.block(
-            [
-                [np.zeros((self.n_perf, self.n_dist)), self.D12],
-                [np.zeros((self.n_meas, self.n_dist + self.n_ctrl))],
-            ]
-        )
-        return StateSpace(self.A, B, C, D)
 
     def pzw(self) -> StateSpace:
         return StateSpace(self.A, self.B1, self.C1, np.zeros((self.n_perf, self.n_dist)))

@@ -5,9 +5,11 @@ a graph on the states: vertices are states, edges are measured differences.
 This module validates such matrices, derives the graph (components and 0/1
 indicator vectors), tests and decomposes relative maps, and constructively
 recovers an output-feedback gain K from a state-feedback map R satisfying
-K C2 = R.  On the rows of a spanning tree of each component C2 has full
-row rank, so K is unique there: the gain on tree row (v, parent v) is the
-sum of R's columns over the subtree of v.  Every other row gets zero.
+K C2 = R.  Such a K exists exactly when R annihilates every component's
+indicator, which :func:`check_relative` alone tests in relsyn.  On the
+rows of a spanning tree of each component C2 has full row rank, so K is
+unique there: the gain on tree row (v, parent v) is the sum of R's
+columns over the subtree of v.  Every other row gets zero.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .errors import DecompositionError, DimensionError, MeasurementMatrixError
 from .lti import FirSystem, Matrix, StateSpace, _as_matrix, _freeze
 from .structure import InfoStructure
 
-#: Per-row absolute-sum tolerance below which a map counts as relative.
+#: Largest |row sum| of a relative map on any component at any tap: the
+#: one tolerance of the indicator constraint, the bound recovery needs.
 RELATIVE_TOL = 1e-12
 
 
@@ -198,100 +201,87 @@ def _bfs_forest(adjacency: Matrix) -> tuple:
     return trees, parent
 
 
-def is_relative_map(F, tol: float = RELATIVE_TOL) -> bool:
-    """True iff every row of F sums to zero (within `tol` per row)."""
-    F = _as_matrix(F, "F")
-    return bool(np.all(np.abs(F.sum(axis=1)) <= tol))
-
-
 # ---------------------------------------------------------------------------
-# decomposition and recovery
+# the relative-map contract, decomposition and recovery
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelativeDecomposition:
-    """Per-component relative blocks of a map.
+def check_relative(taps, indicators) -> float:
+    """Check that a map annihilates every component indicator, tap by tap.
 
-    `blocks[i]` acts on the i-th component's state sub-vector, columns in
-    sorted component order; each of its rows sums to zero at every tap.
+    `taps` has shape (taps, rows, n) and `indicators` holds the 0/1
+    indicator rows.  The residual is each component's row sums of every
+    tap, ``taps @ indicators.T``; the map is relative when no entry exceeds
+    RELATIVE_TOL in magnitude.  Nominal validation, the solver's check of
+    Q and recovery all call this one check, so a nominal or a Q that it
+    accepts is never rejected by recovery.  Returns the largest |row sum|;
+    raises :class:`DecompositionError` naming the first bad component and
+    its first bad tap.
     """
-
-    structure: MeasurementStructure
-    blocks: tuple
-
-    def reassemble(self) -> FirSystem:
-        """Place the blocks back onto full state coordinates."""
-        ms = self.structure
-        horizon = max(b.horizon for b in self.blocks)
-        l = self.blocks[0].n_outputs
-        taps = np.zeros((horizon + 1, l, ms.n_states))
-        for comp, block in zip(ms.components, self.blocks):
-            for k in range(block.horizon + 1):
-                taps[k][:, list(comp)] += block.taps[k]
-        return FirSystem(taps)
-
-
-def _as_fir(R) -> FirSystem:
-    if isinstance(R, FirSystem):
-        return R
-    return FirSystem(np.asarray(R, dtype=float)[np.newaxis])
+    E = np.atleast_2d(np.asarray(indicators, dtype=float))
+    taps = np.asarray(taps, dtype=float)
+    if taps.shape[-1] != E.shape[1]:
+        raise DimensionError(
+            f"map has {taps.shape[-1]} columns, indicators have {E.shape[1]} entries"
+        )
+    sums = np.abs(taps @ E.T).max(axis=1, initial=0.0)
+    bad = sums > RELATIVE_TOL
+    if bad.any():
+        ci = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, ci]))
+        comp = tuple(np.flatnonzero(E[ci]).tolist())
+        raise DecompositionError(
+            f"component {ci} (states {comp}) has a non-relative block at tap {k}",
+            component=ci,
+            tap=k,
+        )
+    return float(sums.max(initial=0.0))
 
 
-def decompose(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL) -> RelativeDecomposition:
+def _relative_taps(R, ms: MeasurementStructure) -> np.ndarray:
+    """R's taps, a static matrix as one tap, once :func:`check_relative`
+    has accepted them."""
+    taps = R.taps if isinstance(R, FirSystem) else _as_matrix(R, "R")[np.newaxis]
+    check_relative(taps, ms.indicators)
+    return taps
+
+
+def decompose(R, ms: MeasurementStructure) -> tuple:
     """Split R into per-component blocks, each of which must be relative.
 
-    Accepts a FIR system or a static matrix.  Fails with a
-    :class:`DecompositionError` naming the offending component and tap when
-    some block has a nonzero row sum; a single-vertex component forces an
-    identically zero block.
+    Accepts a FIR system or a static matrix, and returns one FIR block per
+    component: `blocks[i]` acts on the i-th component's state sub-vector,
+    columns in sorted component order.  Fails with the
+    :class:`DecompositionError` of :func:`check_relative` when R is not
+    relative; a single-vertex component forces an identically zero block.
     """
-    fir = _as_fir(R)
-    if fir.n_inputs != ms.n_states:
-        raise DimensionError(
-            f"map has {fir.n_inputs} columns, structure has {ms.n_states} states"
-        )
-    blocks = []
-    for ci, comp in enumerate(ms.components):
-        block = fir.taps[:, :, list(comp)]
-        sums = block.sum(axis=2)
-        bad = np.flatnonzero(np.abs(sums).max(axis=1, initial=0.0) > tol)
-        if bad.size:
-            raise DecompositionError(
-                f"component {ci} (states {comp}) has a non-relative block at "
-                f"tap {int(bad[0])}",
-                component=ci,
-                tap=int(bad[0]),
-            )
-        blocks.append(FirSystem(block))
-    return RelativeDecomposition(structure=ms, blocks=tuple(blocks))
+    taps = _relative_taps(R, ms)
+    return tuple(FirSystem(taps[:, :, list(comp)]) for comp in ms.components)
 
 
-def recover_controller(R, ms: MeasurementStructure, tol: float = RELATIVE_TOL):
+def recover_controller(R, ms: MeasurementStructure):
     """Recover K with K C2 = R, in the same representation as R.
 
     For a FIR map every tap is recovered independently (matching Markov
     parameters suffices), and a static matrix is the FIR map of one tap:
-    after :func:`decompose` checks that R is relative, each component's
-    gains are its block times the recovery map, K[:, rows] = R[:, comp] Z.
+    once :func:`check_relative` accepts R, each component's gains are its
+    columns of R times the recovery map, K[:, rows] = R[:, comp] Z.
     The gain on tree row (v, parent v) is then the sum of R's columns over
     the subtree of v, and the rows outside each component's spanning tree
     receive zeros.  For a state-space map the realization itself must be
     relative -- its B and D matrices are recovered, leaving A and C
     untouched -- so that K C2 = R holds exactly at the realization level.
-    Raises :class:`DecompositionError` when R does not decompose.
+    Raises :class:`DecompositionError` when R is not relative.
     """
     if isinstance(R, StateSpace):
-        Bk = recover_controller(R.B, ms, tol)
-        Dk = recover_controller(R.D, ms, tol)
+        Bk = recover_controller(R.B, ms)
+        Dk = recover_controller(R.D, ms)
         return StateSpace(R.A, Bk, R.C, Dk)
-    fir = _as_fir(R)
-    dec = decompose(fir, ms, tol)
-    K = np.zeros((fir.horizon + 1, fir.n_outputs, ms.n_measurements))
-    for rows, block, Z in zip(ms.component_rows, dec.blocks, ms.recovery_maps):
-        K[:, :, list(rows)] = block.taps @ Z
-    out = FirSystem(K)
-    return out if isinstance(R, FirSystem) else out.taps[0]
+    taps = _relative_taps(R, ms)
+    K = np.zeros(taps.shape[:2] + (ms.n_measurements,))
+    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
+        K[:, :, list(rows)] = taps[:, :, list(comp)] @ Z
+    return FirSystem(K) if isinstance(R, FirSystem) else K[0]
 
 
 def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) -> InfoStructure:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -41,12 +40,12 @@ from .lti import (
     StateSpace,
     fir_lft,
     fir_sub,
-    lft,
     markov,
     series,
 )
 from .measurement import (
     MeasurementStructure,
+    check_relative,
     recover_controller,
     recovered_structure,
     validate_c2,
@@ -57,7 +56,7 @@ from .structure import (
     qi_certificate,
     transfer_pattern,
 )
-from .youla import YoulaData, build_tilde_plant, laplacian_rnom, make_t_systems, r_from_q
+from .youla import YoulaData, build_tilde_plant, laplacian_rnom, make_t_systems
 
 DEFAULT_Q_HORIZON = 32
 
@@ -133,11 +132,12 @@ class SynthesisResult:
     `objective` is the H2 value of the matched map, `residual_gradient`
     the optimality measure ||A'(Ax - b)|| of the solved least-squares
     system, and `constraint_violation` the largest indicator row sum over
-    all taps of `q_opt`.  `r_opt` is the state-feedback map
-    ``r_from_q(yd, q_opt)``, built on first access and then kept.
-    `k_opt` is K = Knom - F(C2 N, Q~) with N = F(Rnom, Pxu) and
-    Q~ C2 = q_opt, truncated to ``horizon_q + 2n`` taps (n states):
-    k_opt C2 = r_opt holds on those taps only, not beyond them.
+    all taps of `q_opt`, which :func:`~relsyn.measurement.check_relative`
+    has held to RELATIVE_TOL.  `k_opt` is K = Knom - F(C2 N, Q~) with
+    N = F(Rnom, Pxu) and Q~ C2 = q_opt, truncated to ``horizon_q + 2n``
+    taps (n states).  The state-feedback map R = Rnom - F(N, q_opt) has
+    the taps ``recovered_r_fir(yd, q_opt, k_opt.horizon)``, and
+    k_opt C2 = R holds on those taps only, not beyond them.
     """
 
     q_opt: FirSystem
@@ -147,11 +147,6 @@ class SynthesisResult:
     k_opt: FirSystem
     rank_deficient: bool
     yd: YoulaData = field(repr=False)
-
-    @cached_property
-    def r_opt(self) -> StateSpace:
-        """State-space realization of R = Rnom - F(F(Rnom, Pxu), q_opt)."""
-        return r_from_q(self.yd, self.q_opt)
 
 
 @dataclass(frozen=True)
@@ -890,18 +885,13 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
     recursion works on impulse responses only and stays accurate.  `q`
     needs no padding: its taps past its own horizon are zeros.
     """
-    M = markov(lft(yd.r_nom, yd.plant.pxu()), horizon)
+    M = markov(yd.nominal_loop, horizon)
     rnom_fir = markov(yd.r_nom, horizon)
     return fir_sub(rnom_fir, fir_lft(M, q, horizon))
 
 
 def _finalize(prob: SynthesisProblem, q_opt: FirSystem, lsres: LstsqResult) -> SynthesisResult:
-    ms = prob.ms
-    violation = _constraint_violation(q_opt, ms)
-    if violation > 1e-10:
-        raise DomainError(
-            f"synthesized parameter violates the indicator constraints ({violation:.2e})"
-        )
+    violation = check_relative(q_opt.taps, prob.ms.indicators)
     if not membership(q_opt, prob.structure):
         raise DomainError("synthesized parameter violates its structure")
     return SynthesisResult(
@@ -919,7 +909,7 @@ def _controller_horizon(prob: SynthesisProblem) -> int:
     # The optimal R may be an unstable transfer function (only the closed
     # loop is guaranteed stable), so its long-horizon taps grow; the
     # recovered FIR controller keeps a short structural window on which
-    # the tap match k_opt C2 = r_opt is well conditioned.
+    # the tap match k_opt C2 = R is well conditioned.
     return prob.horizon_q + 2 * prob.yd.plant.n_states
 
 
@@ -937,17 +927,10 @@ def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     stacked = np.concatenate([markov(yd.r_nom, horizon).taps, q.taps])
     both = recover_controller(FirSystem(stacked), ms).taps
     k_nom, q_tilde = FirSystem(both[: horizon + 1]), FirSystem(both[horizon + 1 :])
-    c2n = FirSystem(ms.c2 @ markov(lft(yd.r_nom, yd.plant.pxu()), horizon).taps)
+    c2n = FirSystem(ms.c2 @ markov(yd.nominal_loop, horizon).taps)
     taps = np.array(fir_sub(k_nom, fir_lft(c2n, q_tilde, horizon)).taps)
     bound = recovered_structure(combined_r_structure(prob.structure, yd), ms)
     ks = np.arange(horizon + 1)[:, None, None]
     taps[(ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)] = 0.0
     return FirSystem(taps)
 
-
-def _constraint_violation(q: FirSystem, ms: MeasurementStructure) -> float:
-    worst = 0.0
-    for comp in ms.components:
-        sums = q.taps[:, :, list(comp)].sum(axis=2)
-        worst = max(worst, float(np.abs(sums).max()))
-    return worst

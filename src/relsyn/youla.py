@@ -7,7 +7,8 @@ T1 + T2 Q T3 with Q a free stable parameter, and the controller behind a
 given Q is recovered through a pair of feedback transforms.  Annihilation
 of the component indicator vectors transfers exactly between the state
 feedback and the free parameter, which is what makes the relative
-measurement constraint convex in Q.
+measurement constraint convex in Q.  The nominal's annihilation is tested
+by recovery's own check, :func:`~relsyn.measurement.check_relative`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DecompositionError,
     DimensionError,
     DomainError,
     NominalNotRelativeError,
@@ -37,10 +39,7 @@ from .lti import (
     markov,
     subtract,
 )
-from .measurement import MeasurementStructure
-
-#: Entry tolerance for indicator-annihilation checks.
-E_CONSTRAINT_TOL = 1e-10
+from .measurement import MeasurementStructure, check_relative
 
 
 def build_tilde_plant(p: Plant) -> Plant:
@@ -64,28 +63,22 @@ def laplacian_rnom(adjacency) -> StateSpace:
     return StateSpace.static_gain(-L / n)
 
 
-def check_e_constraint(sys, indicators, tol: float = E_CONSTRAINT_TOL) -> bool:
-    """True iff the system annihilates every indicator vector.
+def check_e_constraint(sys, indicators) -> bool:
+    """True iff the system annihilates every indicator vector, that is iff
+    :func:`~relsyn.measurement.check_relative` accepts its taps.
 
-    For an FIR map every tap is tested directly.  For a state-space map the
-    realization-level test B E = 0 (with D E = 0) is conclusive when it
-    passes; otherwise the Markov parameters up to twice the state dimension
-    are tested, which suffices by Cayley-Hamilton.
+    For an FIR map every tap is tested.  For a state-space map the Markov
+    parameters up to twice the state dimension are tested, which decides
+    the question by Cayley-Hamilton.
     """
-    E = np.atleast_2d(np.asarray(indicators, dtype=float)).T  # columns
-    if isinstance(sys, FirSystem):
-        if sys.n_inputs != E.shape[0]:
-            raise DimensionError("indicator length does not match input count")
-        return bool(np.abs(sys.taps @ E).max() <= tol)
-    ss = as_statespace(sys)
-    if ss.n_inputs != E.shape[0]:
-        raise DimensionError("indicator length does not match input count")
-    if np.abs(ss.D @ E).max() > tol:
+    if not isinstance(sys, FirSystem):
+        ss = as_statespace(sys)
+        sys = markov(ss, 2 * ss.n_states)
+    try:
+        check_relative(sys.taps, indicators)
+    except DecompositionError:
         return False
-    if ss.n_states == 0 or np.abs(ss.B @ E).max() <= tol:
-        return True
-    taps = markov(ss, 2 * ss.n_states).taps
-    return bool(np.abs(taps @ E).max() <= tol)
+    return True
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,9 @@ class YoulaData:
     """Nominal controller, extended plant and the fixed systems of the
     affine closed-loop parameterization.
 
-    ``t1``, ``t2`` and ``t3`` share one closed-loop state realization.
+    ``t1``, ``t2`` and ``t3`` share one closed-loop state realization, and
+    so does ``nominal_loop``, N = F(Rnom, Pxu) = Pxu (I - Rnom Pxu)^-1, the
+    loop with input [B2; 0] and output [I 0].
     ``t1_stable`` and ``t2_stable`` are the same maps with the marginal
     agreement states removed (identical objects when the loop is already
     strictly Schur), and ``t3_projected`` additionally projects the state
@@ -113,6 +108,11 @@ class YoulaData:
     plant: Plant
     ms: MeasurementStructure
     disagreement_basis: Matrix
+
+    @cached_property
+    def nominal_loop(self) -> StateSpace:
+        n, l = self.plant.n_states, self.plant.n_ctrl
+        return StateSpace(self.t1.A, self.t2.B, self.t3.C, np.zeros((n, l)))
 
     @cached_property
     def t1_stable(self) -> StateSpace:
@@ -172,20 +172,16 @@ def make_t_systems(
             "plant modulo the agreement directions"
         )
 
-    # All three systems share the nominal closed-loop state map.
-    A_cl = cl.A
+    # T1 is the nominal closed loop itself; T2 and T3 share its state map.
     nr = rn.n_states
-    B1_cl = np.vstack([p_tilde.B1, np.zeros((nr, p_tilde.n_dist))])
     B2_cl = np.vstack([p_tilde.B2, np.zeros((nr, p_tilde.n_ctrl))])
-    C1_cl = np.hstack([p_tilde.C1 + p_tilde.D12 @ rn.D, p_tilde.D12 @ rn.C])
     Cx_cl = np.hstack([np.eye(n), np.zeros((n, nr))])
-    t1 = StateSpace(A_cl, B1_cl, C1_cl, np.zeros((p_tilde.n_perf, p_tilde.n_dist)))
-    t2 = StateSpace(A_cl, B2_cl, -C1_cl, -p_tilde.D12)
-    t3 = StateSpace(A_cl, B1_cl, Cx_cl, np.zeros((n, p_tilde.n_dist)))
+    t2 = StateSpace(cl.A, B2_cl, -cl.C, -p_tilde.D12)
+    t3 = StateSpace(cl.A, cl.B, Cx_cl, np.zeros((n, p_tilde.n_dist)))
 
     return YoulaData(
         r_nom=rn,
-        t1=t1,
+        t1=cl,
         t2=t2,
         t3=t3,
         plant=p_tilde,
@@ -216,11 +212,6 @@ def _lifted_agreement(ms: MeasurementStructure, n_cl: int) -> list:
     return list(np.pad(ms.indicators, ((0, 0), (0, n_cl - ms.n_states))))
 
 
-def _nominal_loop(yd: YoulaData) -> StateSpace:
-    """The inner transform F(Rnom, Pxu) = Pxu (I - Rnom Pxu)^-1."""
-    return lft(yd.r_nom, yd.plant.pxu())
-
-
 def r_from_q(yd: YoulaData, Q) -> StateSpace:
     """State-feedback map behind a free parameter:
     R = Rnom - F(F(Rnom, Pxu), Q) with F(G, H) = H (I - G H)^-1.
@@ -229,7 +220,7 @@ def r_from_q(yd: YoulaData, Q) -> StateSpace:
     agreement directions, and R inherits indicator annihilation from Q.
     """
     Qss = as_statespace(Q)
-    return subtract(yd.r_nom, lft(_nominal_loop(yd), Qss))
+    return subtract(yd.r_nom, lft(yd.nominal_loop, Qss))
 
 
 def q_from_r(yd: YoulaData, R) -> StateSpace:
@@ -248,6 +239,5 @@ def q_from_r(yd: YoulaData, R) -> StateSpace:
             "R does not internally stabilize the extended plant; the "
             "recovered parameter would be unstable"
         )
-    N = _nominal_loop(yd)
     delta = subtract(yd.r_nom, Rss)
-    return lft(-N, delta)
+    return lft(-yd.nominal_loop, delta)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from relsyn import InfoStructure, ring_plant
+from relsyn import InfoStructure, laplacian_rnom, ring_adjacency, ring_plant
 from relsyn import fileio
 from relsyn.bench import all_pairs_sensing, triangular_plant
 from relsyn.cli import main
@@ -172,6 +172,21 @@ def test_youla_check(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: provide an rnom file or --laplacian\n"
+
+
+def test_youla_check_fails_a_nominal_that_recovery_rejects(tmp_path, capsys):
+    # a row sum of 5e-11 on the Laplacian nominal
+    plant_path = tmp_path / "p.plant"
+    fileio.write_plant(plant_path, ring_plant(5, 0.4))
+    gain = np.array(laplacian_rnom(ring_adjacency(5)).D)
+    gain[0, 0] += 5e-11
+    rnom = tmp_path / "rnom.mat"
+    fileio.write_matrix(rnom, gain)
+    assert main(["youla", "check", str(plant_path), str(rnom)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("annihilates every component indicator:")
+    assert out[1].endswith("FAIL")
+    assert [line.endswith("ok") for line in (out[0], out[2])] == [True, True]
 
 
 def test_error_reporting(tmp_path, capsys):

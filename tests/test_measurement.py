@@ -15,10 +15,11 @@ from relsyn import (
     MeasurementStructure,
     StateSpace,
     build_ring_problem,
+    check_e_constraint,
+    check_relative,
     combined_r_structure,
     decompose,
     fir_compose,
-    is_relative_map,
     markov,
     membership,
     recover_controller,
@@ -26,7 +27,7 @@ from relsyn import (
     solve,
     validate_c2,
 )
-from conftest import rand_connected_c2, rand_relative_fir
+from conftest import rand_connected_c2, rand_relative_fir, rand_relative_fir_exact
 
 TWO_PAIRS = np.array([[1.0, -1, 0, 0], [0, 0, 1, -1]])
 ALL_PAIRS_4 = np.array(
@@ -187,13 +188,38 @@ class TestValidateC2:
 
 class TestRelativeMap:
     def test_paper_row(self):
-        assert is_relative_map([[3.0, -1.0, -2.0]])
+        assert check_relative(np.array([[[3.0, -1.0, -2.0]]]), np.ones((1, 3))) == 0.0
 
     def test_nonzero_sum(self):
-        assert not is_relative_map([[1.0, 0.0]])
+        with pytest.raises(DecompositionError):
+            check_relative(np.array([[[1.0, 0.0]]]), np.ones((1, 2)))
 
     def test_zero_map(self):
-        assert is_relative_map(np.zeros((3, 4)))
+        assert check_relative(np.zeros((1, 3, 4)), np.ones((1, 4))) == 0.0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_validation_accepts_exactly_what_recovery_accepts(self, data):
+        # one row sum moved to 1e-13 (below the tolerance) or 1e-11 (above)
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        sizes.append(data.draw(st.integers(2, 5)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ms = validate_c2(disconnected_c2(rng, sizes))
+        l, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        taps = np.array(rand_relative_fir_exact(rng, ms, l, horizon).taps)
+        delta = data.draw(st.sampled_from([0.0, 1e-13, 1e-11]))
+        k = data.draw(st.integers(0, horizon))
+        taps[k, data.draw(st.integers(0, l - 1)), data.draw(st.integers(0, ms.n_states - 1))] += delta
+        want = delta < 1e-12
+        for R, sys in ((FirSystem(taps), FirSystem(taps)), (taps[k], StateSpace.static_gain(taps[k]))):
+            assert check_e_constraint(sys, ms.indicators) is want
+            for fn in (decompose, recover_controller):
+                try:
+                    fn(R, ms)
+                except DecompositionError:
+                    assert not want
+                else:
+                    assert want
 
 
 class TestSolveChain:
@@ -303,9 +329,9 @@ class TestDecompose:
     def test_single_component_identity_block(self, rng):
         ms = validate_c2(ALL_PAIRS_4)
         R = rand_relative_fir(rng, ms, 2, 4)
-        dec = decompose(R, ms)
-        assert len(dec.blocks) == 1
-        assert np.array_equal(dec.blocks[0].taps, R.taps)
+        blocks = decompose(R, ms)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0].taps, R.taps)
 
     def test_singleton_component_must_vanish(self, rng):
         ms = validate_c2(FIVE_STATE)
@@ -320,8 +346,10 @@ class TestDecompose:
     def test_blocks_recovered_exactly(self, rng):
         ms = validate_c2(FIVE_STATE)
         R = rand_relative_fir(rng, ms, 2, 3)
-        dec = decompose(R, ms)
-        assert np.abs(dec.reassemble().taps - R.taps).max() == 0.0
+        taps = np.zeros_like(R.taps)
+        for comp, block in zip(ms.components, decompose(R, ms)):
+            taps[:, :, list(comp)] = block.taps
+        assert np.array_equal(taps, R.taps)
 
 
 class TestBatchedRecovery:
@@ -483,8 +511,7 @@ class TestStructuralInvariants:
             ms = validate_c2(rand_connected_c2(rng, n, extra_edges=1))
             K = FirSystem(rng.normal(size=(4, 2, ms.n_measurements)))
             R = fir_compose(K, FirSystem(ms.c2[np.newaxis]))
-            dec = decompose(R, ms)  # must not raise
-            assert dec is not None
+            decompose(R, ms)  # must not raise
             # round trip: only the product K C2 is invariant, not K itself
             K2 = recover_controller(R, ms)
             R2 = fir_compose(K2, FirSystem(ms.c2[np.newaxis]))

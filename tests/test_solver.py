@@ -26,6 +26,8 @@ from relsyn import (
     make_t_systems,
     markov,
     membership,
+    r_from_q,
+    recovered_r_fir,
     ring_plant,
     series,
     solve,
@@ -267,7 +269,7 @@ class TestRingCirculant:
         res = solve_ring_circulant(4, 0.3, horizon_q=8)
         ms = validate_c2(ring_plant(4, 0.3).C2)
         kc2 = fir_compose(res.k_opt, FirSystem(ms.c2[np.newaxis]))
-        r_taps = markov(res.r_opt, kc2.horizon).taps
+        r_taps = recovered_r_fir(res.yd, res.q_opt, kc2.horizon).taps
         assert np.abs(kc2.taps - r_taps).max() <= 1e-8
 
 
@@ -354,38 +356,21 @@ class TestStableMapsStayLazy:
 
 
 class TestFinalize:
-    def test_r_opt_built_on_first_access(self, monkeypatch):
-        from relsyn import solver, youla
-
-        original = youla.r_from_q
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        # the name solver binds and the module attribute
-        monkeypatch.setattr(solver, "r_from_q", spy)
-        monkeypatch.setattr(youla, "r_from_q", spy)
+    def test_r_taps_match_r_from_q(self):
+        # the one route to R's taps agrees with r_from_q's realization
         ring = solve_ring_circulant(6, 0.4, 8)
-        prob = build_ring_problem(4, 0.3, horizon_q=6)
-        general = solve(prob)
-        assert calls == []
-        for res, yd in ((ring, build_ring_problem(6, 0.4, 8).yd), (general, prob.yd)):
-            r_opt = res.r_opt
-            ref = original(yd, res.q_opt)
-            for name in ("A", "B", "C", "D"):
-                assert np.array_equal(getattr(r_opt, name), getattr(ref, name))
-            assert res.r_opt is r_opt
-        assert len(calls) == 2
+        general = solve(build_ring_problem(4, 0.3, horizon_q=6))
+        for res in (ring, general):
+            horizon = res.k_opt.horizon
+            R = recovered_r_fir(res.yd, res.q_opt, horizon)
+            ref = markov(r_from_q(res.yd, res.q_opt), horizon)
+            assert np.abs(R.taps - ref.taps).max() <= 1e-8
 
     @pytest.mark.parametrize("n, gamma, horizon_q", [(5, 0.4, 8), (8, 0.2, 32)])
     def test_recovered_r_fir_needs_no_padding(self, n, gamma, horizon_q):
-        from relsyn.solver import _controller_horizon, recovered_r_fir
-
         prob = build_ring_problem(n, gamma, horizon_q)
-        q = solve_ring_circulant(n, gamma, horizon_q).q_opt
-        horizon = _controller_horizon(prob)
+        res = solve_ring_circulant(n, gamma, horizon_q)
+        q, horizon = res.q_opt, res.k_opt.horizon
         padded = recovered_r_fir(prob.yd, q.padded(horizon), horizon)
         assert np.array_equal(recovered_r_fir(prob.yd, q, horizon).taps, padded.taps)
 
@@ -521,9 +506,9 @@ class TestRecoveryOracle:
     @staticmethod
     def _gap(prob, res):
         from relsyn.measurement import recover_controller
-        from relsyn.solver import _controller_horizon, combined_r_structure, recovered_r_fir
+        from relsyn.solver import combined_r_structure
 
-        r_fir = recovered_r_fir(prob.yd, res.q_opt, _controller_horizon(prob))
+        r_fir = recovered_r_fir(prob.yd, res.q_opt, res.k_opt.horizon)
         bound = combined_r_structure(prob.structure, prob.yd)
         oracle = recover_controller(_clean_r_fir_loops(r_fir, bound, prob.ms), prob.ms).taps
         return np.abs(res.k_opt.taps - oracle).max() / max(np.abs(res.k_opt.taps).max(), 1.0)
@@ -550,12 +535,11 @@ class TestLargeRings:
     @pytest.mark.parametrize("n, gamma", [(32, 0.2), (48, 0.4)])
     def test_k_recovers_and_matches_r(self, n, gamma):
         from relsyn.bench import verify_synthesis
-        from relsyn.solver import _controller_horizon, recovered_r_fir
 
         prob = build_ring_problem(n, gamma, 32)
         res = solve_ring_circulant(n, gamma, 32)
         assert verify_synthesis(prob, res)["k_member"]
-        r_fir = recovered_r_fir(prob.yd, res.q_opt, _controller_horizon(prob))
+        r_fir = recovered_r_fir(prob.yd, res.q_opt, res.k_opt.horizon)
         kc2 = fir_compose(res.k_opt, FirSystem(prob.ms.c2[np.newaxis]))
         scale = max(np.abs(r_fir.taps).max(), 1.0)
         assert np.abs(kc2.taps - r_fir.padded(kc2.horizon).taps).max() <= 1e-12 * scale

@@ -17,6 +17,7 @@ from relsyn import (
     fir_compose,
     h2_norm_fir,
     laplacian_rnom,
+    lft,
     make_t_systems,
     markov,
     nominal_verdicts,
@@ -121,6 +122,24 @@ class TestMakeTSystems:
             make_t_systems(tilde, StateSpace.static_gain(-np.eye(3)), ms)
         with pytest.raises(NominalNotStabilizingError):
             make_t_systems(tilde, StateSpace.static_gain(np.zeros((3, 3))), ms)
+
+    def test_nominal_that_recovery_rejects_is_rejected_up_front(self):
+        # 5e-11 on one entry of the Laplacian nominal is a row sum that
+        # recovery rejects, so validation rejects it before the solve
+        plant = ring_plant(5, 0.4)
+        tilde, ms = build_tilde_plant(plant), validate_c2(plant.C2)
+        gain = np.array(laplacian_rnom(ring_adjacency(5)).D)
+        gain[0, 0] += 5e-11
+        rnom = StateSpace.static_gain(gain)
+        assert nominal_verdicts(tilde, rnom, ms)[:3] == (True, False, True)
+        with pytest.raises(NominalNotRelativeError):
+            make_t_systems(tilde, rnom, ms)
+
+    def test_nominal_loop_is_the_inner_transform(self):
+        for _, tilde, _, yd in (ring_setup(), schur_setup()):
+            want = markov(lft(yd.r_nom, tilde.pxu()), 25).taps
+            assert np.abs(markov(yd.nominal_loop, 25).taps - want).max() <= 1e-12
+            assert yd.nominal_loop is yd.nominal_loop
 
     def test_verdicts_fail_where_make_t_systems_raises(self):
         _, tilde, ms, yd = ring_setup()
