@@ -72,29 +72,20 @@ def triangular_plant(n: int = 4, diag: float = 0.5, upper: float = 0.1) -> Plant
 
 
 def all_pairs_sensing(n: int) -> np.ndarray:
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = np.zeros(n)
-            r[i], r[j] = 1.0, -1.0
-            rows.append(r)
-    return np.vstack(rows)
-
-
-def _pair_row_index(n: int, i: int, j: int) -> int:
-    """Row of the all-pairs sensing matrix measuring x_i - x_j (i < j)."""
-    assert i < j
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+    """One row x_i - x_j per pair i < j, in the order of np.triu_indices."""
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(len(i))
+    C2 = np.zeros((len(i), n))
+    C2[rows, i], C2[rows, j] = 1.0, -1.0
+    return C2
 
 
 def local_sensor_structure(n: int) -> InfoStructure:
     """Sparsity pattern where actuator i may use exactly the sensors
     located at subsystem i (the pairs (i, j) with j > i)."""
-    p = n * (n - 1) // 2
-    mask = np.zeros((n, p))
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask[i, _pair_row_index(n, i, j)] = 1.0
+    i, _ = np.triu_indices(n, 1)
+    mask = np.zeros((n, len(i)))
+    mask[i, np.arange(len(i))] = 1.0
     return InfoStructure.from_sparsity(mask)
 
 
@@ -108,12 +99,9 @@ def star_recover_upper_triangular(
     equals sum_j>i (-R_ij) (x_i - x_j); this recovery is a different (and
     here structure-compatible) representative than the spanning-tree one.
     """
-    p = n * (n - 1) // 2
-    taps = np.zeros((R.horizon + 1, n, p))
-    for t in range(R.horizon + 1):
-        for i in range(n):
-            for j in range(i + 1, n):
-                taps[t, i, _pair_row_index(n, i, j)] = -R.taps[t, i, j]
+    i, j = np.triu_indices(n, 1)
+    taps = np.zeros((R.horizon + 1, n, len(i)))
+    taps[:, i, np.arange(len(i))] = -R.taps[:, i, j]
     return FirSystem(taps)
 
 

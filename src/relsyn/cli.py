@@ -169,11 +169,11 @@ def _solve_bundle(bundle: dict, args) -> tuple:
     path = args.bundle
     horizon_q = args.horizon_q
     if horizon_q is None:
-        horizon_q = fileio._number(path, bundle.get("horizon_q", DEFAULT_Q_HORIZON), int)
+        horizon_q = fileio.number(path, bundle.get("horizon_q", DEFAULT_Q_HORIZON), int)
 
     if "ring" in bundle:
-        n = fileio._number(path, bundle["ring"], int)
-        gamma = fileio._number(path, bundle.get("gamma", 0.5))
+        n = fileio.number(path, bundle["ring"], int)
+        gamma = fileio.number(path, bundle.get("gamma", 0.5))
         return solve_ring_circulant(n, gamma, horizon_q), gamma, ring_plant(n, gamma)
 
     missing = [key for key in ("plant", "structure") if key not in bundle]
@@ -207,7 +207,7 @@ def _solve_bundle(bundle: dict, args) -> tuple:
         rnom = StateSpace.static_gain(np.zeros((plant.n_ctrl, plant.n_states)))
     yd = make_t_systems(build_tilde_plant(plant), rnom, ms)
     prob = SynthesisProblem(yd=yd, structure=structure, ms=ms, horizon_q=horizon_q)
-    gamma = fileio._number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
+    gamma = fileio.number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
     return solve(prob), gamma, plant
 
 
@@ -252,12 +252,12 @@ def _cmd_ring_sweep(args) -> int:
         n_text = cfgfile.get("n_values", n_text)
         if "gamma_values" in cfgfile:
             gamma_text, gamma_source = cfgfile["gamma_values"], args.config
-        horizon_q = fileio._number(args.config, cfgfile.get("horizon_q", horizon_q), int)
+        horizon_q = fileio.number(args.config, cfgfile.get("horizon_q", horizon_q), int)
         out = cfgfile.get("output_path", out)
     cfg = bench.SweepConfig(
         n_values=_parse_n_values(n_text),
         gamma_values=tuple(
-            fileio._number(gamma_source, tok) for tok in gamma_text.split(",") if tok
+            fileio.number(gamma_source, tok) for tok in gamma_text.split(",") if tok
         ),
         horizon_q=horizon_q,
         output_path=out,

@@ -80,7 +80,7 @@ class _Tokens:
     def numbers(self, count: int, what: str) -> np.ndarray:
         """The next `count` tokens as floats."""
         return np.array(
-            [_number(f"{self.path}:{line}", tok) for line, tok in self.entries(count, what)]
+            [number(f"{self.path}:{line}", tok) for line, tok in self.entries(count, what)]
         )
 
     def end(self, count: int) -> None:
@@ -89,7 +89,7 @@ class _Tokens:
             raise self.error(f"expected end of file after {count} entries")
 
 
-def _number(where: str, tok: str, kind=float):
+def number(where: str, tok: str, kind=float):
     """`kind(tok)`, or a DomainError naming `where` and the token.
 
     `where` is the file, followed by ``:line`` when the line is known.
@@ -142,7 +142,7 @@ def read_structure(path: str) -> InfoStructure:
     toks = _Tokens(path)
     rows, cols = toks.sizes("rows cols")
     vals = [
-        np.inf if tok.lower() == "inf" else float(_number(f"{path}:{line}", tok, int))
+        np.inf if tok.lower() == "inf" else float(number(f"{path}:{line}", tok, int))
         for line, tok in toks.entries(rows * cols, "the delay matrix")
     ]
     toks.end(rows * cols)
@@ -162,11 +162,12 @@ def write_structure(path: str, s: InfoStructure) -> None:
 _PLANT_BLOCKS = ("A", "B1", "B2", "C1", "D12", "C2")
 
 
-def read_plant(path: str) -> tuple:
-    """Read a plant file; returns (Plant-or-None-C2 dict) as (blocks dict).
+def read_plant(path: str) -> dict:
+    """Read a plant file into a dict from block name to matrix.
 
-    The C2 block is optional; callers that need a full :class:`Plant`
-    should pass the measured C2 separately when the file omits it.
+    A, B1, B2, C1 and D12 are required and C2 is optional; when the file
+    omits C2, :func:`plant_from_blocks` takes the sensing matrix
+    separately.
     """
     toks = _Tokens(path)
     blocks = {}

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DecompositionError, DimensionError, MeasurementMatrixError
-from .lti import FirSystem, Matrix, StateSpace, _as_matrix, _freeze
+from .lti import FirSystem, Matrix, StateSpace, _as_matrix, _freeze, markov
 from .structure import InfoStructure
 
 #: Largest |row sum| of a relative map on any component at any tap: the
@@ -238,24 +238,37 @@ def check_relative(taps, indicators) -> float:
     return float(sums.max(initial=0.0))
 
 
-def _relative_taps(R, ms: MeasurementStructure) -> np.ndarray:
-    """R's taps, a static matrix as one tap, once :func:`check_relative`
-    has accepted them."""
-    taps = R.taps if isinstance(R, FirSystem) else _as_matrix(R, "R")[np.newaxis]
-    check_relative(taps, ms.indicators)
+def relative_taps(R, indicators) -> np.ndarray:
+    """The taps of R that decide whether it is relative, once
+    :func:`check_relative` has accepted them.
+
+    They are every tap of a FIR map, a static matrix as one tap, and the
+    Markov parameters 0..2 n_states of a state-space map, which decide the
+    question by Cayley-Hamilton.  Nominal validation
+    (:func:`~relsyn.youla.check_e_constraint`), :func:`decompose` and
+    :func:`recover_controller` all read R through this one helper.
+    """
+    if isinstance(R, StateSpace):
+        taps = markov(R, 2 * R.n_states).taps
+    elif isinstance(R, FirSystem):
+        taps = R.taps
+    else:
+        taps = _as_matrix(R, "R")[np.newaxis]
+    check_relative(taps, indicators)
     return taps
 
 
 def decompose(R, ms: MeasurementStructure) -> tuple:
     """Split R into per-component blocks, each of which must be relative.
 
-    Accepts a FIR system or a static matrix, and returns one FIR block per
-    component: `blocks[i]` acts on the i-th component's state sub-vector,
-    columns in sorted component order.  Fails with the
+    Splits the taps of :func:`relative_taps` (a state-space map by its
+    Markov taps 0..2 n_states) into one FIR block per component:
+    `blocks[i]` acts on the i-th component's state sub-vector, columns in
+    sorted component order.  Fails with the
     :class:`DecompositionError` of :func:`check_relative` when R is not
     relative; a single-vertex component forces an identically zero block.
     """
-    taps = _relative_taps(R, ms)
+    taps = relative_taps(R, ms.indicators)
     return tuple(FirSystem(taps[:, :, list(comp)]) for comp in ms.components)
 
 
@@ -268,20 +281,28 @@ def recover_controller(R, ms: MeasurementStructure):
     columns of R times the recovery map, K[:, rows] = R[:, comp] Z.
     The gain on tree row (v, parent v) is then the sum of R's columns over
     the subtree of v, and the rows outside each component's spanning tree
-    receive zeros.  For a state-space map the realization itself must be
-    relative -- its B and D matrices are recovered, leaving A and C
-    untouched -- so that K C2 = R holds exactly at the realization level.
+    receive zeros.  A state-space map is accepted exactly when its Markov
+    taps are relative (:func:`relative_taps`).  Its B then loses its part
+    along the indicators, B - B E' diag(1/|comp|) E, which the relative
+    taps C A^k B E' = 0 leave unobservable, so the transfer function stays
+    R; K keeps A and C, and gets the recovered B and D.
     Raises :class:`DecompositionError` when R is not relative.
     """
+    taps = relative_taps(R, ms.indicators)
     if isinstance(R, StateSpace):
-        Bk = recover_controller(R.B, ms)
-        Dk = recover_controller(R.D, ms)
-        return StateSpace(R.A, Bk, R.C, Dk)
-    taps = _relative_taps(R, ms)
-    K = np.zeros(taps.shape[:2] + (ms.n_measurements,))
-    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
-        K[:, :, list(rows)] = taps[:, :, list(comp)] @ Z
+        E = ms.indicators
+        B = R.B - (R.B @ E.T) @ (E / E.sum(axis=1, keepdims=True))
+        return StateSpace(R.A, _recover(B, ms), R.C, _recover(R.D, ms))
+    K = _recover(taps, ms)
     return FirSystem(K) if isinstance(R, FirSystem) else K[0]
+
+
+def _recover(taps: np.ndarray, ms: MeasurementStructure) -> np.ndarray:
+    """K with K C2 = taps along the last axis, component by component."""
+    K = np.zeros(taps.shape[:-1] + (ms.n_measurements,))
+    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
+        K[..., list(rows)] = taps[..., list(comp)] @ Z
+    return K
 
 
 def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) -> InfoStructure:

@@ -113,6 +113,12 @@ class SynthesisProblem:
             )
         if self.ms.n_states != n:
             raise DimensionError("measurement structure does not match the plant")
+        # the T systems project onto yd's components, so the constraint on
+        # Q and the recovery of K must use the same sensing
+        if not np.array_equal(self.ms.c2, yd.ms.c2):
+            raise DomainError(
+                "measurement structure differs from the one the T systems were built on"
+            )
         if self.horizon_q < 0:
             raise DomainError("horizon_q must be nonnegative")
         pattern = transfer_pattern(yd.plant.pxu())
@@ -469,41 +475,20 @@ def _orbit_columns(prob: SynthesisProblem, generators) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _gram_solve(L: np.ndarray, inputs, delays) -> LstsqResult:
-    """Minimize ||A x + target|| over columns of delayed basis responses.
+def _gram_system(L: np.ndarray, inputs, delays):
+    """G = A'A and c = A'b of the least-squares system of
+    :func:`_solve_columns`, from the lag table L.
 
     `L` is the lag table of the joint system [basis | target] up to the
-    largest delay (see :func:`_lags`): the basis has one input per basis
-    response, the target a single input, and both share the outputs.
-    Column a of A is basis response inputs[a] delayed by delays[a] taps,
-    over the whole infinite horizon; basis response p is the response of
-    the column map's direction p.  A is never formed: A'A,
-    A'b and ||b||^2 (b = -target) are entries of L, gathered by
-    :func:`_gram_system`, and the Gram system is solved by
-    :func:`_solve_gram`.  The result carries ||A x - b|| as `residual`
-    and ||A'(A x - b)|| = ||G x - A'b|| as `gradient_norm`.
-    """
-    G, c = _gram_system(L, inputs, delays)
-    sol = _solve_gram(G, c)
-    x = sol.x
-    tgt = L.shape[1] - 1
-    resid_sq = float(L[0, tgt, tgt]) - 2.0 * float(c @ x) + float(x @ (G @ x))
-    return LstsqResult(
-        x=x,
-        residual=math.sqrt(max(resid_sq, 0.0)),
-        gradient_norm=sol.residual,
-        rank=sol.rank,
-        rank_deficient=sol.rank_deficient,
-    )
-
-
-def _gram_system(L: np.ndarray, inputs, delays):
-    """G = A'A and A'b of :func:`_gram_solve` from the lag table L.
-
-    Entry (a, b) of G is the inner product of response e_a delayed by k_a
-    taps with e_b delayed by k_b: L(k_b - k_a)[e_a, e_b], with
-    L(-d) = L(d)'.  Stacking S = [L(K)' ... L(1)' L(0) ... L(K)] makes it
-    one gather, S[K + k_b - k_a, e_a, e_b].
+    largest delay (see :func:`_lags`): the basis has one input per
+    direction of the column map, the target a single input (vec T1), and
+    both share the outputs.  Column a of A is the response of direction
+    inputs[a] delayed by delays[a] taps, over the whole infinite horizon,
+    and b = -target; A is never formed.  Entry (a, b) of G is the inner
+    product of response e_a delayed by k_a taps with e_b delayed by k_b:
+    L(k_b - k_a)[e_a, e_b], with L(-d) = L(d)'.  Stacking
+    S = [L(K)' ... L(1)' L(0) ... L(K)] makes it one gather,
+    S[K + k_b - k_a, e_a, e_b].
     """
     K = L.shape[0] - 1
     m = tgt = L.shape[1] - 1
@@ -513,37 +498,30 @@ def _gram_system(L: np.ndarray, inputs, delays):
     return S[rows[:, None] + cols], -L[delays, tgt, inputs]
 
 
-def _solve_gram(G: np.ndarray, c: np.ndarray) -> LstsqResult:
-    """Solve the symmetric Gram system G x = c by Cholesky.
+def _solve_gram(G: np.ndarray, c: np.ndarray) -> tuple:
+    """(x, rank): the solution of the symmetric Gram system G x = c.
 
-    The factorization is trusted only when LAPACK's estimate of the
-    reciprocal condition number is at least cols * eps; when it fails or
-    the estimate is smaller, G is singular to working precision and
-    :func:`least_squares` solves it instead, which keeps the rank flag and
-    the minimal-norm choice.  `residual` is ||G x - c||.
+    Cholesky is trusted only when LAPACK's estimate of the reciprocal
+    condition number is at least cols * eps, and then the rank is cols.
+    When the factorization fails or the estimate is smaller, G is singular
+    to working precision and :func:`least_squares` solves it instead,
+    which gives the minimal-norm solution and the numerical rank.
     """
     cols = c.size
-    if cols == 0:  # dpocon rejects an empty factor
-        return least_squares(G, c)
     try:
-        factor = scipy.linalg.cho_factor(G, check_finite=False)
+        # dpocon rejects an empty factor
+        factor = scipy.linalg.cho_factor(G, check_finite=False) if cols else None
     except np.linalg.LinAlgError:
-        return least_squares(G, c)
-    rcond, _ = scipy.linalg.lapack.dpocon(
-        factor[0], np.abs(G).sum(axis=0).max(), uplo="L" if factor[1] else "U"
-    )
-    # written so that a NaN estimate (non-finite G) also falls back
-    if not rcond >= cols * np.finfo(float).eps:
-        return least_squares(G, c)
-    x = scipy.linalg.cho_solve(factor, c, check_finite=False)
-    resid_vec = G @ x - c
-    return LstsqResult(
-        x=x,
-        residual=float(np.linalg.norm(resid_vec)),
-        gradient_norm=float(np.linalg.norm(G @ resid_vec)),
-        rank=cols,
-        rank_deficient=False,
-    )
+        factor = None
+    if factor is not None:
+        rcond, _ = scipy.linalg.lapack.dpocon(
+            factor[0], np.abs(G).sum(axis=0).max(), uplo="L" if factor[1] else "U"
+        )
+        # written so that a NaN estimate (non-finite G) also falls back
+        if rcond >= cols * np.finfo(float).eps:
+            return scipy.linalg.cho_solve(factor, c, check_finite=False), cols
+    sol = least_squares(G, c)
+    return sol.x, sol.rank
 
 
 def _lags(basis: StateSpace, target: StateSpace, K: int) -> np.ndarray:
@@ -607,15 +585,39 @@ def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisRes
     on the O(n^2)-state joint system.  Each (delay, input) pair names at
     most one column, so Q's taps are the coefficients of each tap times
     the stacked directions.
+
+    The Gram system G x = c of :func:`_gram_system` is solved by
+    :func:`_solve_gram`.  One product G x gives both the objective,
+    J^2 = ||b||^2 - 2 c'x + x'G x with ||b||^2 = L(0)[tgt, tgt], and the
+    optimality measure ||A'(A x - b)|| = ||G x - c||.  Q's taps are
+    checked against the indicators and the structure, and K is recovered
+    from them.
     """
+    yd = prob.yd
     K = int(delays.max(initial=0))
-    L = _modal_lags(prob.yd, dirs, K)
+    L = _modal_lags(yd, dirs, K)
     if L is None:
-        L = _stein_lags(prob.yd, dirs, K)
-    lsres = _gram_solve(L, inputs, delays)
+        L = _stein_lags(yd, dirs, K)
+    G, c = _gram_system(L, inputs, delays)
+    x, rank = _solve_gram(G, c)
+    Gx = G @ x
+    tgt = L.shape[1] - 1
+    resid_sq = float(L[0, tgt, tgt]) - 2.0 * float(c @ x) + float(x @ Gx)
     coef = np.zeros((prob.horizon_q + 1, len(dirs)))
-    coef[delays, inputs] = lsres.x
-    return _finalize(prob, FirSystem(np.tensordot(coef, dirs, axes=1)), lsres)
+    coef[delays, inputs] = x
+    q_opt = FirSystem(np.tensordot(coef, dirs, axes=1))
+    violation = check_relative(q_opt.taps, prob.ms.indicators)
+    if not membership(q_opt, prob.structure):
+        raise DomainError("synthesized parameter violates its structure")
+    return SynthesisResult(
+        q_opt=q_opt,
+        objective=math.sqrt(max(resid_sq, 0.0)),
+        residual_gradient=float(np.linalg.norm(Gx - c)),
+        constraint_violation=violation,
+        k_opt=_controller(prob, q_opt),
+        rank_deficient=rank < c.size,
+        yd=yd,
+    )
 
 
 def _stein_lags(yd: YoulaData, dirs, K: int) -> np.ndarray:
@@ -863,7 +865,7 @@ def solve_ring_circulant(
 
 
 # ---------------------------------------------------------------------------
-# shared finalization: recovery of K, declared structures
+# recovery of K, declared structures
 # ---------------------------------------------------------------------------
 
 
@@ -890,29 +892,6 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
     return fir_sub(rnom_fir, fir_lft(M, q, horizon))
 
 
-def _finalize(prob: SynthesisProblem, q_opt: FirSystem, lsres: LstsqResult) -> SynthesisResult:
-    violation = check_relative(q_opt.taps, prob.ms.indicators)
-    if not membership(q_opt, prob.structure):
-        raise DomainError("synthesized parameter violates its structure")
-    return SynthesisResult(
-        q_opt=q_opt,
-        objective=lsres.residual,
-        residual_gradient=lsres.gradient_norm,
-        constraint_violation=violation,
-        k_opt=_controller(prob, q_opt),
-        rank_deficient=lsres.rank_deficient,
-        yd=prob.yd,
-    )
-
-
-def _controller_horizon(prob: SynthesisProblem) -> int:
-    # The optimal R may be an unstable transfer function (only the closed
-    # loop is guaranteed stable), so its long-horizon taps grow; the
-    # recovered FIR controller keeps a short structural window on which
-    # the tap match k_opt C2 = R is well conditioned.
-    return prob.horizon_q + 2 * prob.yd.plant.n_states
-
-
 def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     """Taps of K = Knom - F(C2 N, Q~) on the controller window.
 
@@ -922,7 +901,11 @@ def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     snapped to the exact zeros that membership tests.
     """
     yd, ms = prob.yd, prob.ms
-    horizon = _controller_horizon(prob)
+    # The optimal R may be an unstable transfer function (only the closed
+    # loop is guaranteed stable), so its long-horizon taps grow; the
+    # recovered FIR controller keeps a short structural window on which
+    # the tap match k_opt C2 = R is well conditioned.
+    horizon = prob.horizon_q + 2 * yd.plant.n_states
     # recovery works tap by tap, so Knom's taps and Q's share one call
     stacked = np.concatenate([markov(yd.r_nom, horizon).taps, q.taps])
     both = recover_controller(FirSystem(stacked), ms).taps

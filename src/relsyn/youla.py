@@ -27,7 +27,6 @@ from .errors import (
     NominalUnstableError,
 )
 from .lti import (
-    FirSystem,
     Matrix,
     Plant,
     StateSpace,
@@ -36,10 +35,9 @@ from .lti import (
     drop_invariant_subspace,
     is_internally_stable,
     lft,
-    markov,
     subtract,
 )
-from .measurement import MeasurementStructure, check_relative
+from .measurement import MeasurementStructure, relative_taps
 
 
 def build_tilde_plant(p: Plant) -> Plant:
@@ -65,17 +63,12 @@ def laplacian_rnom(adjacency) -> StateSpace:
 
 def check_e_constraint(sys, indicators) -> bool:
     """True iff the system annihilates every indicator vector, that is iff
-    :func:`~relsyn.measurement.check_relative` accepts its taps.
-
-    For an FIR map every tap is tested.  For a state-space map the Markov
-    parameters up to twice the state dimension are tested, which decides
-    the question by Cayley-Hamilton.
+    :func:`~relsyn.measurement.relative_taps` accepts it: every tap of an
+    FIR map, and the Markov parameters up to twice the state dimension of
+    a state-space map, which decide the question by Cayley-Hamilton.
     """
-    if not isinstance(sys, FirSystem):
-        ss = as_statespace(sys)
-        sys = markov(ss, 2 * ss.n_states)
     try:
-        check_relative(sys.taps, indicators)
+        relative_taps(sys, indicators)
     except DecompositionError:
         return False
     return True

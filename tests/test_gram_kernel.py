@@ -282,31 +282,49 @@ class TestSolveGram:
         monkeypatch.setattr(solver, "least_squares", no_fallback)
         M = rng.normal(size=(6, 6))
         G, c = M.T @ M + np.eye(6), rng.normal(size=6)
-        sol = _solve_gram(G, c)
-        assert np.abs(sol.x - np.linalg.solve(G, c)).max() <= 1e-12
-        assert (sol.rank, sol.rank_deficient) == (6, False)
-        assert sol.residual == pytest.approx(np.linalg.norm(G @ sol.x - c))
+        x, rank = _solve_gram(G, c)
+        assert np.abs(x - np.linalg.solve(G, c)).max() <= 1e-12
+        assert rank == 6
 
     def test_tiny_pivot_falls_back_to_least_squares(self):
         # Cholesky succeeds here with a pivot of 7.5e-9, but the condition
         # estimate (4.6e-17) is far below cols * eps
         G, c = np.array([[0.3, 0.3], [0.3, 0.3]]), np.array([1.0, 2.0])
-        got, want = _solve_gram(G, c), least_squares(G, c)
-        assert got.rank_deficient
-        assert np.array_equal(got.x, want.x)
-        assert (got.residual, got.gradient_norm, got.rank, got.rank_deficient) == (
-            want.residual,
-            want.gradient_norm,
-            want.rank,
-            want.rank_deficient,
-        )
+        (x, rank), want = _solve_gram(G, c), least_squares(G, c)
+        assert np.array_equal(x, want.x)
+        assert rank == want.rank == 1
 
     def test_zero_gram_gives_minimal_norm_zero(self):
-        sol = _solve_gram(np.zeros((3, 3)), np.ones(3))
-        assert np.array_equal(sol.x, np.zeros(3))
-        assert (sol.rank, sol.rank_deficient) == (0, True)
+        x, rank = _solve_gram(np.zeros((3, 3)), np.ones(3))
+        assert np.array_equal(x, np.zeros(3))
+        assert rank == 0
 
     def test_empty_system(self):
-        sol = _solve_gram(np.zeros((0, 0)), np.zeros(0))
-        assert sol.x.shape == (0,)
-        assert not sol.rank_deficient
+        x, rank = _solve_gram(np.zeros((0, 0)), np.zeros(0))
+        assert x.shape == (0,)
+        assert rank == 0
+
+
+def test_residual_gradient_is_the_gram_residual_of_the_solve(monkeypatch, rng):
+    # residual_gradient is ||G x - c|| for the G, c and x of that solve,
+    # on the eigenbasis route (ring) and the Stein route
+    import relsyn.solver as solver
+
+    calls = []
+    original = solver._solve_gram
+
+    def spy(G, c):
+        x, rank = original(G, c)
+        calls.append((G, c, x))
+        return x, rank
+
+    monkeypatch.setattr(solver, "_solve_gram", spy)
+    probs = [
+        build_ring_problem(6, 0.4, horizon_q=8),
+        consensus_problem(rand_connected_c2(rng, 4, extra_edges=1), 0.3, 4, b2=actuator_gains(4)),
+    ]
+    for prob in probs:
+        res = solve(prob)
+        G, c, x = calls.pop()
+        assert res.residual_gradient == np.linalg.norm(G @ x - c)
+        assert res.residual_gradient <= 1e-9 * np.abs(G).max() * max(np.abs(x).max(), 1.0)

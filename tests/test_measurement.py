@@ -308,13 +308,38 @@ class TestRecovery:
         assert "non-relative block at tap 0" in str(err.value)
 
     def test_statespace_nonrelative_b_rejected(self):
-        # relative D, but B's row on {x1, x2} sums to 1
+        # relative D, but B's row on {x1, x2} sums to 1 and C sees it: the
+        # first Markov tap that sees B, C B, is tap 1
         ms = validate_c2(TWO_PAIRS)
         B = np.array([[1.0, 0.0, 1.0, -1.0]])
         R = StateSpace([[0.5]], B, [[1.0]], np.zeros((1, 4)))
         with pytest.raises(DecompositionError) as err:
             recover_controller(R, ms)
-        assert (err.value.component, err.value.tap) == (0, 0)
+        assert (err.value.component, err.value.tap) == (0, 1)
+
+    def test_statespace_accepted_exactly_when_validation_accepts(self):
+        # B E' != 0 but the indicator direction is unobservable: validation
+        # accepts the system, and so does recovery, with the same taps
+        ms = validate_c2(np.array([[1.0, -1.0]]))
+        A = np.array([[0.5, 0.0], [0.0, 0.4]])
+        B = np.array([[1.0, 1.0], [0.0, 0.0]])
+        R = StateSpace(A, B, np.array([[0.0, 1.0]]), np.zeros((1, 2)))
+        assert check_e_constraint(R, ms.indicators)
+        K = recover_controller(R, ms)
+        assert np.array_equal(markov(K, 20).taps, np.zeros((21, 1, 1)))
+
+    def test_statespace_recovery_with_unobservable_agreement_input(self, rng):
+        # B E' has an unobservable part; K C2 = R holds on every Markov tap
+        ms = validate_c2(TWO_PAIRS)
+        A = np.diag([0.5, -0.3, 0.2])
+        C = np.hstack([rng.normal(size=(2, 2)), np.zeros((2, 1))])
+        B = rng.normal(size=(3, 4))
+        for comp in ms.components:
+            B[:2, list(comp)] -= B[:2, list(comp)].mean(axis=1, keepdims=True)
+        R = StateSpace(A, B, C, np.zeros((2, 4)))
+        K = recover_controller(R, ms)
+        kc2 = fir_compose(markov(K, 12), FirSystem(ms.c2[np.newaxis]), horizon=12)
+        assert np.abs(kc2.taps - markov(R, 12).taps).max() <= 1e-12
 
     def test_static_statespace_recovery(self):
         # no states: B is empty and D carries the whole gain

@@ -221,6 +221,32 @@ class TestSolve:
         with pytest.raises(StructureViolationError):
             SynthesisProblem(yd=yd, structure=lower, ms=ms, horizon_q=4)
 
+    def test_measurement_structure_must_be_the_t_systems_own(self):
+        # T systems on two pairs {x0, x1}, {x2, x3}; a connected chain
+        # passed as ms would constrain Q and recover K (4 x 3, against 2
+        # sensors) for the wrong components, and the loop that its Q gives
+        # is not stable
+        from relsyn import laplacian_rnom
+
+        C2 = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        ms = validate_c2(C2)
+        V = ms.disagreement_basis()
+        plant = Plant(
+            A=np.eye(4),
+            B1=np.eye(4),
+            B2=np.eye(4),
+            C1=np.vstack([0.6 * V @ V.T, np.zeros((4, 4))]),
+            D12=np.vstack([np.zeros((4, 4)), 0.4 * np.eye(4)]),
+            C2=C2,
+        )
+        yd = make_t_systems(build_tilde_plant(plant), laplacian_rnom(ms.adjacency), ms)
+        chain = validate_c2(np.eye(3, 4) - np.eye(3, 4, 1))
+        structure = InfoStructure.unrestricted(4, 4)
+        with pytest.raises(DomainError, match="measurement structure differs"):
+            SynthesisProblem(yd=yd, structure=structure, ms=chain, horizon_q=8)
+        res = solve(SynthesisProblem(yd=yd, structure=structure, ms=ms, horizon_q=8))
+        assert res.k_opt.n_inputs == 2
+
 
 class TestRingCirculant:
     def test_gamma_one_pure_effort(self):
