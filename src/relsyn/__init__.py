@@ -22,7 +22,6 @@ from .errors import (
     WellPosednessError,
 )
 from .lti import (
-    DEFAULT_HORIZON,
     FirSystem,
     Plant,
     StateSpace,

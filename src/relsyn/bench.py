@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, DomainError, RelsynError
+from .fileio import write_text
 from .lti import FirSystem, Plant, StateSpace, fir_compose
 from .measurement import (
     MeasurementStructure,
@@ -56,15 +57,15 @@ _LIFT_DOUBLES = 1 << 22
 # ---------------------------------------------------------------------------
 
 
-def triangular_plant(n: int = 4, diag: float = 0.5, upper: float = 0.1) -> Plant:
+def triangular_plant(n: int) -> Plant:
     """Stable upper-triangular chain of subsystems, all difference pairs
     measured.  The fixed coefficients make the report reproducible; the
     structural verdicts do not depend on them."""
     A = np.zeros((n, n))
     for i in range(n):
-        A[i, i] = diag
+        A[i, i] = 0.5
         for j in range(i + 1, n):
-            A[i, j] = upper
+            A[i, j] = 0.1
     C2 = all_pairs_sensing(n)
     C1 = np.vstack([np.eye(n), np.zeros((n, n))])
     D12 = np.vstack([np.zeros((n, n)), np.eye(n)])
@@ -117,9 +118,10 @@ class MotivatingExampleReport:
     text: str
 
 
-def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
+def run_motivating_example() -> MotivatingExampleReport:
     """Four coupled subsystems, all pairwise differences measured, one
-    subcontroller per subsystem restricted to its own sensors.
+    subcontroller per subsystem restricted to its own sensors, Q of FIR
+    horizon 8.
 
     Reports (a) that the sensor-access sparsity is not quadratically
     invariant for the measured-output formulation, with a violating
@@ -127,7 +129,7 @@ def run_motivating_example(horizon_q: int = 8) -> MotivatingExampleReport:
     (c) the optimal cost of the convex reformulation together with a
     recovered controller that respects the sensor-access pattern.
     """
-    n = 4
+    n, horizon_q = 4, 8
     plant = triangular_plant(n)
     ms = validate_c2(plant.C2)
     S = local_sensor_structure(n)
@@ -193,7 +195,7 @@ class DecompositionExampleReport:
     text: str
 
 
-def run_example_1(seed: int = 0) -> DecompositionExampleReport:
+def run_example_1() -> DecompositionExampleReport:
     """Five states, two sensors, three components: recovery exists only
     when the map decomposes into per-component relative blocks and the
     isolated state's column vanishes."""
@@ -204,7 +206,7 @@ def run_example_1(seed: int = 0) -> DecompositionExampleReport:
         ]
     )
     ms = validate_c2(C2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     # infeasible: any nonzero entry on the isolated state's column
     bad = rng.normal(size=(1, 5))
@@ -272,11 +274,10 @@ def simulate_closed_loop(
     ms: MeasurementStructure,
     steps: int,
     seed: int,
-    disturbance_scale: float = 1.0,
 ) -> TrajectoryRecord:
     """Simulate x[t+1] = A x + B1 w + B2 u with u the FIR controller
-    applied to the history of y = C2 x and w unit white noise (scaled by
-    `disturbance_scale`; zero turns the disturbance off).
+    applied to the history of y = C2 x and w unit white noise (a zero B1
+    turns the disturbance off).
 
     The controller's tap 0 acts on the current measurement (y has no
     feedthrough, so the loop is well posed).  With M_0 = A + B2 K_0 C2 and
@@ -333,8 +334,6 @@ def simulate_closed_loop(
             wc = w[: (j1 - j0) * B]
             rng.standard_normal(out=wc[: t1 - t0])
             wc[t1 - t0 :] = 0.0
-            if disturbance_scale != 1:
-                wc *= disturbance_scale
             np.matmul(wc.reshape(j1 - j0, B * q), gamma.T, out=new[j0:j1])
             for j in range(j0, j1):
                 new[j] += P @ flat[j * B * n : (j * B + L) * n]
@@ -498,45 +497,13 @@ def run_ring_sweep(cfg: SweepConfig, render: bool = True):
 def emit_csv(rows, path: str) -> str:
     """Write sweep rows with the fixed header, 12 significant digits and
     LF line endings."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r.n},{r.gamma:.12g},{r.J:.12g},{r.J_per_node:.12g},"
-                    f"{r.solve_ms:.12g},{r.residual:.12g}\n"
-                )
-    except OSError as exc:
-        raise DomainError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    body = "".join(
+        f"{r.n},{r.gamma:.12g},{r.J:.12g},{r.J_per_node:.12g},"
+        f"{r.solve_ms:.12g},{r.residual:.12g}\n"
+        for r in rows
+    )
+    write_text(path, CSV_HEADER + "\n" + body)
     return path
-
-
-def parse_csv(path: str):
-    """Read back a sweep CSV written by :func:`emit_csv`."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise DomainError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                n, gamma, J, Jn, ms_t, resid = line.strip().split(",")
-                rows.append(
-                    SweepRow(
-                        n=int(n),
-                        gamma=float(gamma),
-                        J=float(J),
-                        J_per_node=float(Jn),
-                        solve_ms=float(ms_t),
-                        residual=float(resid),
-                        failed=math.isnan(float(J)),
-                    )
-                )
-    except OSError as exc:
-        raise DomainError(f"cannot read sweep CSV from {path}: {exc}") from exc
-    return rows
 
 
 _PLOT_SCRIPT = """\
@@ -586,8 +553,7 @@ def _emit_plot_script(csv_path: str) -> str:
     script_path = _sibling(csv_path, "_plot.py")
     csv_name = os.path.basename(csv_path)
     png_name = os.path.basename(_sibling(csv_path, ".png"))
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT.format(csv_name=csv_name, png_name=png_name))
+    write_text(script_path, _PLOT_SCRIPT.format(csv_name=csv_name, png_name=png_name))
     return script_path
 
 

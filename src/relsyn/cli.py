@@ -34,6 +34,12 @@ from .solver import (
 from .structure import qi_certificate, transfer_pattern
 from .youla import build_tilde_plant, laplacian_rnom, make_t_systems, nominal_verdicts
 
+#: Keys of a problem bundle (``relsyn solve`` and ``relsyn simulate``).
+_BUNDLE_KEYS = ("ring", "gamma", "horizon_q", "plant", "c2", "structure", "rnom", "laplacian")
+
+#: Keys of a ``relsyn ring-sweep --config`` file.
+_SWEEP_KEYS = ("n_values", "gamma_values", "horizon_q", "output_path")
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -212,10 +218,13 @@ def _solve_bundle(bundle: dict, args) -> tuple:
 
 
 def _cmd_solve(args) -> int:
-    bundle = fileio.read_bundle(args.bundle)
+    bundle = fileio.read_bundle(args.bundle, _BUNDLE_KEYS)
     res, gamma, plant = _solve_bundle(bundle, args)
     out_dir = args.out_dir or bundle["_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create output directory {out_dir}: {exc}") from exc
     stem = os.path.splitext(os.path.basename(args.bundle))[0]
     q_path = os.path.join(out_dir, f"{stem}_q_opt.fir")
     k_path = os.path.join(out_dir, f"{stem}_k_opt.fir")
@@ -248,7 +257,7 @@ def _cmd_ring_sweep(args) -> int:
     horizon_q, out = args.horizon_q, args.out
     gamma_source = "--gamma"
     if args.config:
-        cfgfile = fileio.read_bundle(args.config)
+        cfgfile = fileio.read_bundle(args.config, _SWEEP_KEYS)
         n_text = cfgfile.get("n_values", n_text)
         if "gamma_values" in cfgfile:
             gamma_text, gamma_source = cfgfile["gamma_values"], args.config
@@ -274,7 +283,7 @@ def _cmd_ring_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    bundle = fileio.read_bundle(args.bundle)
+    bundle = fileio.read_bundle(args.bundle, _BUNDLE_KEYS)
     res, gamma, plant = _solve_bundle(bundle, args)
     rec = bench.simulate_closed_loop(
         plant, res.k_opt, res.yd.ms, steps=args.steps, seed=args.seed

@@ -101,8 +101,19 @@ def number(where: str, tok: str, kind=float):
         raise DomainError(f"{where}: expected {what}, found {tok!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _rows(M) -> str:
+    """One line per row of M, 17 significant digits."""
+    return "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in M)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` with LF line endings; a DomainError names the path
+    when the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -115,10 +126,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def write_matrix(path: str, M) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    write_text(path, f"{M.shape[0]} {M.shape[1]}\n" + _rows(M))
 
 
 def read_fir(path: str) -> FirSystem:
@@ -130,12 +138,8 @@ def read_fir(path: str) -> FirSystem:
 
 
 def write_fir(path: str, f: FirSystem) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{f.n_outputs} {f.n_inputs} {f.horizon}\n")
-        for k in range(f.horizon + 1):
-            fh.write("\n")
-            for row in f.taps[k]:
-                fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    taps = "".join("\n" + _rows(tap) for tap in f.taps)
+    write_text(path, f"{f.n_outputs} {f.n_inputs} {f.horizon}\n{taps}")
 
 
 def read_structure(path: str) -> InfoStructure:
@@ -150,13 +154,11 @@ def read_structure(path: str) -> InfoStructure:
 
 
 def write_structure(path: str, s: InfoStructure) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{s.rows} {s.cols}\n")
-        for row in s.min_delay:
-            fh.write(
-                " ".join("inf" if not np.isfinite(x) else str(int(x)) for x in row)
-                + "\n"
-            )
+    body = "".join(
+        " ".join("inf" if not np.isfinite(x) else str(int(x)) for x in row) + "\n"
+        for row in s.min_delay
+    )
+    write_text(path, f"{s.rows} {s.cols}\n{body}")
 
 
 _PLANT_BLOCKS = ("A", "B1", "B2", "C1", "D12", "C2")
@@ -199,23 +201,16 @@ def plant_from_blocks(blocks: dict, c2=None) -> Plant:
 
 
 def write_plant(path: str, p: Plant) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, M in (
-            ("A", p.A),
-            ("B1", p.B1),
-            ("B2", p.B2),
-            ("C1", p.C1),
-            ("D12", p.D12),
-            ("C2", p.C2),
-        ):
-            fh.write(f"{name}\n{M.shape[0]} {M.shape[1]}\n")
-            for row in M:
-                fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    blocks = ((name, getattr(p, name)) for name in _PLANT_BLOCKS)
+    write_text(
+        path, "".join(f"{name}\n{M.shape[0]} {M.shape[1]}\n" + _rows(M) for name, M in blocks)
+    )
 
 
-def read_bundle(path: str) -> dict:
-    """Parse ``key = value`` lines; path-valued entries stay as written
-    and are resolved against the bundle's directory by `bundle_path`."""
+def read_bundle(path: str, keys: tuple) -> dict:
+    """Parse ``key = value`` lines, each key one of `keys`; path-valued
+    entries stay as written and are resolved against the bundle's
+    directory by `bundle_path`."""
     out = {"_dir": os.path.dirname(os.path.abspath(path))}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -225,8 +220,13 @@ def read_bundle(path: str) -> dict:
                     continue
                 if "=" not in body:
                     raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = body.split("=", 1)
-                out[key.strip()] = val.strip()
+                key, val = (part.strip() for part in body.split("=", 1))
+                if key not in keys:
+                    raise DomainError(
+                        f"{path}:{lineno}: unknown key {key!r}, "
+                        f"expected one of {', '.join(keys)}"
+                    )
+                out[key] = val
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     return out

@@ -23,9 +23,6 @@ Matrix = NDArray[np.float64]
 #: Eigenvalue-modulus margin used by every stability test.
 STABILITY_TOL = 1e-9
 
-#: Default number of impulse-response taps kept by :func:`markov`.
-DEFAULT_HORIZON = 200
-
 #: Residual tolerance when checking that a subspace is A-invariant.
 _INVARIANCE_TOL = 1e-8
 
@@ -97,8 +94,8 @@ class StateSpace:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.poles()))) if self.n_states else 0.0
 
-    def is_schur(self, tol: float = STABILITY_TOL) -> bool:
-        return self.spectral_radius() < 1.0 - tol
+    def is_schur(self) -> bool:
+        return self.spectral_radius() < 1.0 - STABILITY_TOL
 
     def __neg__(self) -> "StateSpace":
         return StateSpace(self.A, self.B, -self.C, -self.D)
@@ -278,7 +275,7 @@ class Plant:
 # ---------------------------------------------------------------------------
 
 
-def markov(sys: StateSpace, horizon: int = DEFAULT_HORIZON) -> FirSystem:
+def markov(sys: StateSpace, horizon: int) -> FirSystem:
     """Impulse-response taps D, CB, CAB, ..., C A^(horizon-1) B.
 
     Parameters
@@ -484,34 +481,27 @@ def close_loop(plant: Plant, R: StateSpace) -> StateSpace:
 # ---------------------------------------------------------------------------
 
 
-def is_internally_stable(
-    cl: StateSpace,
-    agreement_directions=None,
-    tol: float = STABILITY_TOL,
-) -> bool:
-    """Schur stability, optionally modulo a set of agreement directions.
+def is_internally_stable(cl: StateSpace, agreement_directions) -> bool:
+    """Schur stability modulo a set of agreement directions.
 
-    Every eigenvalue must have modulus < 1 - tol.  When
-    `agreement_directions` is supplied, eigenvalues up to modulus 1 + tol
-    are also accepted provided their eigenvectors are agreement modes in
-    closed-loop coordinates: either inside the span of the supplied
-    directions, or invisible through the realization's output map.  The
-    latter covers controller realizations that carry an internal replica
-    of the agreement dynamics; such modes stay bounded and never reach the
-    performance output.
+    Every eigenvalue must have modulus < 1 - STABILITY_TOL, or else
+    modulus at most 1 + STABILITY_TOL with an eigenvector that is an
+    agreement mode in closed-loop coordinates: either inside the span of
+    `agreement_directions`, or invisible through the realization's output
+    map.  The latter covers controller realizations that carry an
+    internal replica of the agreement dynamics; such modes stay bounded
+    and never reach the performance output.
     """
     if cl.n_states == 0:
         return True
     lam, vecs = np.linalg.eig(cl.A)
-    strict = np.abs(lam) < 1.0 - tol
+    strict = np.abs(lam) < 1.0 - STABILITY_TOL
     if np.all(strict):
         return True
-    if agreement_directions is None:
-        return False
     U = _orthonormal(agreement_directions, cl.n_states)
     c_scale = 1.0 + np.abs(cl.C).max()
     for i in np.flatnonzero(~strict):
-        if np.abs(lam[i]) > 1.0 + tol:
+        if np.abs(lam[i]) > 1.0 + STABILITY_TOL:
             return False
         v = vecs[:, i]
         in_span = (

@@ -873,9 +873,9 @@ def combined_r_structure(structure: InfoStructure, yd: YoulaData) -> InfoStructu
     """Minimum-delay bound on the recovered state-feedback map.
 
     R = Rnom - F(F(Rnom, Pxu), Q) inherits the structure of Q wherever the
-    nominal gain vanishes, and delay 0 on the nominal's support.
+    nominal vanishes, and the nominal's structural delays on its support.
     """
-    nominal = transfer_pattern(yd.r_nom, numerical=True)
+    nominal = transfer_pattern(yd.r_nom)
     return InfoStructure(np.minimum(structure.min_delay, nominal.min_delay))
 
 

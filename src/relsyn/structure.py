@@ -110,35 +110,18 @@ def membership(Q: FirSystem, s: InfoStructure) -> bool:
     return bool(np.all(Q.taps[forbidden] == 0.0))
 
 
-def transfer_pattern(
-    sys: StateSpace,
-    numerical: bool = False,
-    horizon: int | None = None,
-    tol: float = 1e-12,
-) -> InfoStructure:
+def transfer_pattern(sys: StateSpace) -> InfoStructure:
     """Minimum-delay pattern of a state-space block.
 
-    Structural mode (the default) works on the binary patterns of (A, B, C,
-    D) so that generic parameter values cannot mask coupling: entry (i, j)
-    gets the smallest tap index with a structurally nonzero Markov entry,
-    which occurs within n_states + 1 taps if it occurs at all.  The
-    search stops early once every entry is set or the reachable pattern
-    A^k B stops changing.  With
-    ``numerical=True`` the actual Markov parameters are thresholded at
-    `tol` instead.
+    Works on the binary patterns of (A, B, C, D) so that generic
+    parameter values cannot mask coupling: entry (i, j) gets the smallest
+    tap index with a structurally nonzero Markov entry, which occurs
+    within n_states + 1 taps if it occurs at all.  The search stops early
+    once every entry is set or the reachable pattern A^k B stops
+    changing.
     """
     p, m = sys.n_outputs, sys.n_inputs
     delay = np.full((p, m), INF)
-    if numerical:
-        if horizon is None:
-            horizon = 2 * sys.n_states + 1
-        from .lti import markov
-
-        taps = markov(sys, horizon).taps
-        for k in range(horizon + 1):
-            hit = (np.abs(taps[k]) > tol) & ~np.isfinite(delay)
-            delay[hit] = k
-        return InfoStructure(delay)
     # 0/1 float products run on BLAS; binarised after each step, every
     # entry is an exact count below 2^53
     Ab = (sys.A != 0).astype(float)

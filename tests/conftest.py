@@ -11,10 +11,13 @@ from relsyn import (
     SynthesisProblem,
     build_tilde_plant,
     delay_structure_from_adjacency,
+    fir_compose,
     laplacian_rnom,
     make_t_systems,
+    markov,
     validate_c2,
 )
+from relsyn.solver import _free_columns
 
 
 def rand_schur(rng, n, m, p, rho=0.6, d_scale=1.0):
@@ -152,10 +155,26 @@ def eliminate_q0(n: int) -> FirSystem:
     return FirSystem(taps)
 
 
-def upper_triangular_plant(n=4, diag=0.5, upper=0.1):
-    from relsyn.bench import triangular_plant
-
-    return triangular_plant(n, diag, upper)
+def brute_force_objective(prob) -> float:
+    """J of `prob` from an independent dense quadratic program: enumerate
+    every free coefficient, build its column of the objective by explicit
+    FIR composition over ORACLE_HORIZON taps, and solve the normal
+    equations directly."""
+    yd, T_J = prob.yd, ORACLE_HORIZON
+    F1 = markov(yd.t1_stable, T_J)
+    F2 = markov(yd.t2_stable, T_J)
+    F3 = markov(yd.t3_projected, T_J)
+    dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
+    cols = []
+    for k, a in zip(delays, inputs):
+        d = np.zeros((prob.horizon_q + 1,) + dirs[a].shape)
+        d[k] = dirs[a]
+        contrib = fir_compose(fir_compose(F2, FirSystem(d), horizon=T_J), F3, horizon=T_J)
+        cols.append(contrib.taps.reshape(-1))
+    G = np.column_stack(cols)
+    t = -F1.taps.reshape(-1)
+    x = np.linalg.solve(G.T @ G, G.T @ t)
+    return float(np.linalg.norm(G @ x - t))
 
 
 @pytest.fixture

@@ -39,9 +39,8 @@ from relsyn.bench import (
     simulate_closed_loop,
     verify_synthesis,
 )
-from relsyn.solver import _free_columns
 from conftest import (
-    ORACLE_HORIZON,
+    brute_force_objective,
     rand_connected_c2,
     rand_relative_fir,
     rand_relative_fir_exact,
@@ -178,24 +177,7 @@ def test_criterion_6_solver_oracle():
     prob = build_ring_problem(3, 0.5, horizon_q=8)
     res = solve(prob)
 
-    # brute-force dense quadratic program: enumerate the free coefficients,
-    # assemble the normal equations from explicit FIR composition, solve
-    yd = prob.yd
-    T_J = ORACLE_HORIZON
-    F1 = markov(yd.t1_stable, T_J)
-    F2 = markov(yd.t2_stable, T_J)
-    F3 = markov(yd.t3_projected, T_J)
-    dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, 8)
-    cols = []
-    for k, a in zip(delays, inputs):
-        d = np.zeros((9, 3, 3))
-        d[k] = dirs[a]
-        contrib = fir_compose(fir_compose(F2, FirSystem(d), horizon=T_J), F3, horizon=T_J)
-        cols.append(contrib.taps.reshape(-1))
-    G = np.column_stack(cols)
-    t = -F1.taps.reshape(-1)
-    x_qp = np.linalg.solve(G.T @ G, G.T @ t)
-    J_qp = float(np.linalg.norm(G @ x_qp - t))
+    J_qp = brute_force_objective(prob)
 
     res_circ = solve_ring_circulant(3, 0.5, horizon_q=8)
     elapsed = time.perf_counter() - t0

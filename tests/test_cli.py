@@ -252,3 +252,54 @@ def test_non_numeric_sweep_gamma_is_a_typed_error(tmp_path, capsys):
     assert err.startswith("error:")
     assert "'x'" in err
     assert not out_csv.exists()
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
+def test_misspelled_bundle_key_is_a_typed_error(tmp_path, capsys):
+    # a silently ignored 'gama' would solve at the default gamma
+    bundle = tmp_path / "b.bundle"
+    bundle.write_text("ring = 4\ngama = 0.3\nhorizon_q = 4\n")
+    assert main(["solve", str(bundle)]) == 1
+    assert_one_error_line(capsys, f"{bundle}:2:", "'gama'", "gamma")
+    assert not (tmp_path / "b_q_opt.fir").exists()
+
+
+def test_misspelled_sweep_config_key_is_a_typed_error(tmp_path, capsys):
+    # a silently ignored 'n_value' would sweep the default 3..12 grid
+    cfgfile = tmp_path / "sweep.cfg"
+    out_csv = tmp_path / "sweep.csv"
+    cfgfile.write_text(f"n_value = 3..4\ngamma_values = 0.3\noutput_path = {out_csv}\n")
+    assert main(["ring-sweep", "--config", str(cfgfile), "--no-plot"]) == 1
+    assert_one_error_line(capsys, f"{cfgfile}:1:", "'n_value'", "n_values")
+    assert not out_csv.exists()
+
+
+def test_out_dir_that_is_a_file_is_a_typed_error(tmp_path, capsys):
+    bundle = tmp_path / "b.bundle"
+    bundle.write_text("ring = 3\nhorizon_q = 4\n")
+    out_dir = tmp_path / "F"
+    out_dir.write_text("")
+    assert main(["solve", str(bundle), "--out-dir", str(out_dir)]) == 1
+    assert_one_error_line(capsys, str(out_dir))
+
+
+def test_fir_path_that_is_a_directory_is_a_typed_error(tmp_path, capsys):
+    bundle = tmp_path / "b.bundle"
+    bundle.write_text("ring = 3\nhorizon_q = 4\n")
+    (tmp_path / "out" / "b_q_opt.fir").mkdir(parents=True)
+    assert main(["solve", str(bundle), "--out-dir", str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys, str(tmp_path / "out" / "b_q_opt.fir"))
+
+
+def test_plot_script_path_that_is_a_directory_is_a_typed_error(tmp_path, capsys):
+    (tmp_path / "d" / "x_plot.py").mkdir(parents=True)
+    out_csv = tmp_path / "d" / "x.csv"
+    argv = ["ring-sweep", "--n", "3", "--gamma", "0.5", "--horizon-q", "4"]
+    assert main(argv + ["--out", str(out_csv), "--no-plot"]) == 1
+    assert_one_error_line(capsys, str(tmp_path / "d" / "x_plot.py"))

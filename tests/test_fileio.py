@@ -174,10 +174,12 @@ class TestErrorsNameTheLine:
 
 
 class TestBundleFormat:
+    KEYS = ("ring", "gamma", "horizon_q")
+
     def test_parse_and_paths(self, tmp_path):
         bundle = tmp_path / "prob.bundle"
         bundle.write_text("# a comment\nring = 4\ngamma = 0.3\nhorizon_q = 8\n")
-        parsed = fileio.read_bundle(bundle)
+        parsed = fileio.read_bundle(bundle, self.KEYS)
         assert parsed["ring"] == "4"
         assert parsed["gamma"] == "0.3"
         assert parsed["_dir"] == str(tmp_path)
@@ -186,4 +188,28 @@ class TestBundleFormat:
         bundle = tmp_path / "prob.bundle"
         bundle.write_text("just words\n")
         with pytest.raises(DomainError):
-            fileio.read_bundle(bundle)
+            fileio.read_bundle(bundle, self.KEYS)
+
+    def test_unknown_key_named_with_its_line(self, tmp_path):
+        bundle = tmp_path / "prob.bundle"
+        bundle.write_text("ring = 4\ngama = 0.3\n")
+        with pytest.raises(DomainError) as err:
+            fileio.read_bundle(bundle, self.KEYS)
+        assert str(err.value) == (
+            f"{bundle}:2: unknown key 'gama', expected one of ring, gamma, horizon_q"
+        )
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "writer, value",
+        [
+            (fileio.write_matrix, np.eye(2)),
+            (fileio.write_fir, FirSystem(np.zeros((1, 1, 1)))),
+            (fileio.write_structure, InfoStructure.unrestricted(1, 1)),
+            (fileio.write_plant, ring_plant(3, 0.5)),
+        ],
+    )
+    def test_unwritable_path_is_a_typed_error(self, tmp_path, writer, value):
+        with pytest.raises(DomainError, match=re.escape(f"cannot write {tmp_path}:")):
+            writer(tmp_path, value)

@@ -232,18 +232,18 @@ class TestCloseLoop:
 class TestInternalStability:
     def test_scalar_stable(self):
         sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]])
-        assert is_internally_stable(sys)
+        assert sys.is_schur()
 
     def test_ring_modulo_agreement(self):
         plant = ring_plant(3, 0.5)
         L = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
         cl = close_loop(plant, StateSpace.static_gain(-L / 3.0))
         assert is_internally_stable(cl, [np.ones(3)])
-        assert not is_internally_stable(cl)
+        assert not cl.is_schur()
 
     def test_scalar_unstable(self):
         sys = StateSpace([[1.01]], [[1.0]], [[1.0]], [[0.0]])
-        assert not is_internally_stable(sys)
+        assert not sys.is_schur()
 
 
 class TestH2Norms:

@@ -6,6 +6,7 @@ lifted sums are reassociated, so agreement is asked within 1e-10 of the
 largest reference entry rather than bit for bit.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from conftest import consensus_plant, consensus_problem, rand_connected_c2
 RTOL = 1e-10
 
 
-def reference_simulation(plant, K, ms, steps, seed, disturbance_scale=1.0):
+def reference_simulation(plant, K, ms, steps, seed):
     """One step at a time: y history, u from the FIR taps, z, then x."""
     rng = np.random.default_rng(seed)
     n, q = plant.n_states, plant.n_dist
@@ -36,7 +37,7 @@ def reference_simulation(plant, K, ms, steps, seed, disturbance_scale=1.0):
         y_hist[0] = plant.C2 @ x[t]
         u[t] = np.einsum("kij,kj->i", K.taps, y_hist)
         z[t] = plant.C1 @ x[t] + plant.D12 @ u[t]
-        w = disturbance_scale * rng.standard_normal(q)
+        w = rng.standard_normal(q)
         x[t + 1] = plant.A @ x[t] + plant.B1 @ w + plant.B2 @ u[t]
         t_done = t + 1
         if np.abs(x[t + 1]).max() > OVERFLOW_GUARD:
@@ -51,10 +52,10 @@ def reference_simulation(plant, K, ms, steps, seed, disturbance_scale=1.0):
     )
 
 
-def assert_agrees(plant, K, steps, seed, disturbance_scale=1.0):
+def assert_agrees(plant, K, steps, seed):
     ms = validate_c2(plant.C2)
-    got = simulate_closed_loop(plant, K, ms, steps, seed, disturbance_scale)
-    ref = reference_simulation(plant, K, ms, steps, seed, disturbance_scale)
+    got = simulate_closed_loop(plant, K, ms, steps, seed)
+    ref = reference_simulation(plant, K, ms, steps, seed)
     assert got.diverged == ref.diverged
     assert got.steps_completed == ref.steps_completed
     for name in ("x", "u", "z"):
@@ -62,6 +63,11 @@ def assert_agrees(plant, K, steps, seed, disturbance_scale=1.0):
         assert a.shape == b.shape, name
         assert np.abs(a - b).max() <= RTOL * np.abs(b).max(), name
     return got
+
+
+def scaled_disturbance(plant, scale):
+    """The plant with B1 scaled: a zero scale turns the disturbance off."""
+    return dataclasses.replace(plant, B1=scale * plant.B1)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,7 @@ class TestOracle:
 
     def test_zero_disturbance_gives_exact_zeros(self, ring8):
         plant, K = ring8
-        rec = assert_agrees(plant, K, 777, seed=1, disturbance_scale=0.0)
+        rec = assert_agrees(scaled_disturbance(plant, 0.0), K, 777, seed=1)
         for arr in (rec.x, rec.u, rec.z):
             assert np.abs(arr).max() == 0.0
 
@@ -123,7 +129,7 @@ class TestDivergence:
         taps = np.zeros((49,) + plant.C2.T.shape)
         taps[0] = 1e7 * plant.C2.T
         K = FirSystem(taps)
-        rec = assert_agrees(plant, K, 500, seed=1, disturbance_scale=scale)
+        rec = assert_agrees(scaled_disturbance(plant, scale), K, 500, seed=1)
         assert rec.diverged == (scale > 0)
 
     def test_truncated_k_opt_loop(self):
