@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, DomainError, RelsynError
-from .fileio import write_text
+from .fileio import write_text, write_texts
 from .lti import FirSystem, Plant, StateSpace, fir_compose
 from .measurement import (
     MeasurementStructure,
@@ -488,21 +488,26 @@ def run_ring_sweep(cfg: SweepConfig, render: bool = True):
     """
     rows = [_solve_row(n, g, cfg) for n in cfg.n_values for g in cfg.gamma_values]
     rows.sort(key=lambda r: (r.n, r.gamma))
-    emit_csv(rows, cfg.output_path)
-    script = _emit_plot_script(cfg.output_path)
+    script = _sibling(cfg.output_path, "_plot.py")
+    write_texts({cfg.output_path: _csv_text(rows), script: _plot_script(cfg.output_path)})
     png = render_sweep_png(cfg.output_path) if render else None
     return rows, cfg.output_path, script, png
 
 
-def emit_csv(rows, path: str) -> str:
-    """Write sweep rows with the fixed header, 12 significant digits and
-    LF line endings."""
+def _csv_text(rows) -> str:
+    """Sweep rows under the fixed header, 12 significant digits."""
     body = "".join(
         f"{r.n},{r.gamma:.12g},{r.J:.12g},{r.J_per_node:.12g},"
         f"{r.solve_ms:.12g},{r.residual:.12g}\n"
         for r in rows
     )
-    write_text(path, CSV_HEADER + "\n" + body)
+    return CSV_HEADER + "\n" + body
+
+
+def emit_csv(rows, path: str) -> str:
+    """Write sweep rows with the fixed header, 12 significant digits and
+    LF line endings."""
+    write_text(path, _csv_text(rows))
     return path
 
 
@@ -549,12 +554,11 @@ def _sibling(path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _emit_plot_script(csv_path: str) -> str:
-    script_path = _sibling(csv_path, "_plot.py")
+def _plot_script(csv_path: str) -> str:
+    """The plot script that renders `csv_path` from beside it."""
     csv_name = os.path.basename(csv_path)
     png_name = os.path.basename(_sibling(csv_path, ".png"))
-    write_text(script_path, _PLOT_SCRIPT.format(csv_name=csv_name, png_name=png_name))
-    return script_path
+    return _PLOT_SCRIPT.format(csv_name=csv_name, png_name=png_name)
 
 
 def render_sweep_png(csv_path: str) -> str | None:

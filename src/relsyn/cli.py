@@ -24,18 +24,14 @@ from . import bench, fileio
 from .errors import DomainError, RelsynError
 from .lti import StateSpace
 from .measurement import validate_c2
-from .solver import (
-    DEFAULT_Q_HORIZON,
-    SynthesisProblem,
-    ring_plant,
-    solve,
-    solve_ring_circulant,
-)
-from .structure import qi_certificate, transfer_pattern
+from .solver import DEFAULT_Q_HORIZON, SynthesisProblem, ring_plant, solve
+from .structure import qi_certificate, ring_delay_structure, transfer_pattern
 from .youla import build_tilde_plant, laplacian_rnom, make_t_systems, nominal_verdicts
 
-#: Keys of a problem bundle (``relsyn solve`` and ``relsyn simulate``).
-_BUNDLE_KEYS = ("ring", "gamma", "horizon_q", "plant", "c2", "structure", "rnom", "laplacian")
+#: Keys of the two forms of a problem bundle (``solve``, ``simulate`` and
+#: ``youla check``).
+_RING_KEYS = ("ring", "gamma", "horizon_q")
+_PLANT_KEYS = ("plant", "c2", "structure", "rnom", "laplacian", "gamma", "horizon_q")
 
 #: Keys of a ``relsyn ring-sweep --config`` file.
 _SWEEP_KEYS = ("n_values", "gamma_values", "horizon_q", "output_path")
@@ -75,11 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a problem bundle")
     p.add_argument("bundle")
-    p.add_argument("--laplacian", action="store_true",
-                   help="nominal = -(1/n)L of the communication graph read "
-                        "off the delay structure (measurement graph for "
-                        "pure sparsity structures)")
-    p.add_argument("--horizon-q", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -97,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--laplacian", action="store_true")
-    p.add_argument("--horizon-q", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("example", help="run a worked example")
@@ -107,11 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("youla", help="parameterization utilities")
     ysub = p.add_subparsers(required=True)
-    yc = ysub.add_parser("check", help="validate a nominal controller")
-    yc.add_argument("plantfile")
-    yc.add_argument("rnomfile", nargs="?", default=None)
-    yc.add_argument("--c2", default=None, help="sensing matrix file")
-    yc.add_argument("--laplacian", action="store_true")
+    yc = ysub.add_parser("check", help="validate a bundle's nominal controller")
+    yc.add_argument("bundle")
     yc.set_defaults(func=_cmd_youla_check)
 
     return parser
@@ -129,11 +115,6 @@ def _cmd_graph(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     return 0
-
-
-def _load_plant(path: str, c2=None):
-    blocks = fileio.read_plant(path)
-    return fileio.plant_from_blocks(blocks, c2=c2)
 
 
 def _cmd_qi(args) -> int:
@@ -165,62 +146,69 @@ def _cmd_qi(args) -> int:
     return 0
 
 
-def _solve_bundle(bundle: dict, args) -> tuple:
-    """Build and solve the bundle's problem once.
+def _read_problem(path: str) -> tuple:
+    """Read a problem bundle into (plant, nominal, structure, horizon_q, gamma).
 
-    Returns (result, gamma_label, plant), the plant with its own sensing
-    matrix; a ring bundle is solved as the ring problem, by :func:`solve`
-    like every other bundle.
+    A plant bundle names its nominal exactly once, by ``rnom = <file>``
+    (a static gain) or by ``laplacian = true``: -(1/n)L of the
+    communication graph, the delay-1 entries of the structure, or of the
+    measurement graph when the structure has none (a pure sparsity
+    pattern).  ``ring = <n>`` is shorthand for the plant bundle of
+    ``ring_plant(n, gamma)``, ``ring_delay_structure(n)`` and
+    ``laplacian = true``.
     """
-    path = args.bundle
-    horizon_q = args.horizon_q
-    if horizon_q is None:
-        horizon_q = fileio.number(path, bundle.get("horizon_q", DEFAULT_Q_HORIZON), int)
-
+    bundle = fileio.read_bundle(path, ("ring",) + _PLANT_KEYS)
+    horizon_q = fileio.number(path, bundle.get("horizon_q", DEFAULT_Q_HORIZON), int)
     if "ring" in bundle:
+        extra = [key for key in bundle if key not in _RING_KEYS + ("_dir",)]
+        if extra:
+            raise DomainError(
+                f"{path}: a ring bundle takes only the keys {', '.join(_RING_KEYS)}, "
+                f"found {', '.join(extra)}"
+            )
         n = fileio.number(path, bundle["ring"], int)
         gamma = fileio.number(path, bundle.get("gamma", 0.5))
-        return solve_ring_circulant(n, gamma, horizon_q), gamma, ring_plant(n, gamma)
-
-    missing = [key for key in ("plant", "structure") if key not in bundle]
-    if missing:
-        raise RelsynError(
-            f"bundle needs either 'ring = <n>' or the keys {missing} "
-            f"(plus optional c2/rnom/laplacian/gamma)"
-        )
-    plant = _load_plant(
-        fileio.bundle_path(bundle, "plant"),
-        c2=fileio.read_matrix(fileio.bundle_path(bundle, "c2")) if "c2" in bundle else None,
-    )
-    ms = validate_c2(plant.C2)
-    structure = fileio.read_structure(fileio.bundle_path(bundle, "structure"))
-    use_laplacian = args.laplacian or bundle.get("laplacian", "false").lower() in (
-        "true",
-        "1",
-        "yes",
-    )
-    if use_laplacian:
-        # the communication graph is what the delay structure encodes:
-        # delay-1 entries are the neighbors; a pure sparsity structure has
-        # none, in which case the measurement graph stands in
-        comm = (structure.min_delay == 1.0).astype(float)
-        rnom = laplacian_rnom(comm if comm.any() else ms.adjacency)
-    elif "rnom" in bundle:
-        rnom = StateSpace.static_gain(
-            fileio.read_matrix(fileio.bundle_path(bundle, "rnom"))
-        )
+        plant, structure = ring_plant(n, gamma), ring_delay_structure(n)
+        bundle["laplacian"] = "true"
     else:
-        rnom = StateSpace.static_gain(np.zeros((plant.n_ctrl, plant.n_states)))
+        missing = [key for key in ("plant", "structure") if key not in bundle]
+        if missing:
+            raise DomainError(
+                f"{path}: a bundle needs either 'ring = <n>' or the keys {missing}"
+            )
+        c2 = fileio.read_matrix(fileio.bundle_path(bundle, "c2")) if "c2" in bundle else None
+        plant = fileio.plant_from_blocks(
+            fileio.read_plant(fileio.bundle_path(bundle, "plant")), c2=c2
+        )
+        structure = fileio.read_structure(fileio.bundle_path(bundle, "structure"))
+        gamma = fileio.number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
+    laplacian = bundle.get("laplacian", "false")
+    if laplacian not in ("true", "false"):
+        raise DomainError(f"{path}: laplacian must be true or false, found {laplacian!r}")
+    if (laplacian == "true") == ("rnom" in bundle):
+        raise DomainError(
+            f"{path}: name the nominal exactly once, by 'rnom = <file>' or 'laplacian = true'"
+        )
+    if laplacian == "true":
+        comm = (structure.min_delay == 1.0).astype(float)
+        rnom = laplacian_rnom(comm if comm.any() else validate_c2(plant.C2).adjacency)
+    else:
+        rnom = StateSpace.static_gain(fileio.read_matrix(fileio.bundle_path(bundle, "rnom")))
+    return plant, rnom, structure, horizon_q, gamma
+
+
+def _solve_bundle(path: str) -> tuple:
+    """Solve the bundle's problem: (result, gamma, plant)."""
+    plant, rnom, structure, horizon_q, gamma = _read_problem(path)
+    ms = validate_c2(plant.C2)
     yd = make_t_systems(build_tilde_plant(plant), rnom, ms)
     prob = SynthesisProblem(yd=yd, structure=structure, ms=ms, horizon_q=horizon_q)
-    gamma = fileio.number(path, bundle["gamma"]) if "gamma" in bundle else math.nan
     return solve(prob), gamma, plant
 
 
 def _cmd_solve(args) -> int:
-    bundle = fileio.read_bundle(args.bundle, _BUNDLE_KEYS)
-    res, gamma, plant = _solve_bundle(bundle, args)
-    out_dir = args.out_dir or bundle["_dir"]
+    res, gamma, plant = _solve_bundle(args.bundle)
+    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.bundle))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -228,8 +216,7 @@ def _cmd_solve(args) -> int:
     stem = os.path.splitext(os.path.basename(args.bundle))[0]
     q_path = os.path.join(out_dir, f"{stem}_q_opt.fir")
     k_path = os.path.join(out_dir, f"{stem}_k_opt.fir")
-    fileio.write_fir(q_path, res.q_opt)
-    fileio.write_fir(k_path, res.k_opt)
+    fileio.write_texts({q_path: fileio.fir_text(res.q_opt), k_path: fileio.fir_text(res.k_opt)})
     print(
         f"n={plant.n_states} gamma={gamma:.12g} J={res.objective:.12g} "
         f"residual={res.residual_gradient:.12g}"
@@ -283,8 +270,7 @@ def _cmd_ring_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    bundle = fileio.read_bundle(args.bundle, _BUNDLE_KEYS)
-    res, gamma, plant = _solve_bundle(bundle, args)
+    res, _, plant = _solve_bundle(args.bundle)
     rec = bench.simulate_closed_loop(
         plant, res.k_opt, res.yd.ms, steps=args.steps, seed=args.seed
     )
@@ -292,9 +278,10 @@ def _cmd_simulate(args) -> int:
         print(f"diverged after {rec.steps_completed} steps")
         return 1
     emp = float((rec.z**2).sum(axis=1).mean())
+    j2 = res.objective**2
     print(
         f"steps={rec.steps_completed} empirical_E_z2={emp:.9g} "
-        f"analytic_J2={res.objective**2:.9g} ratio={emp / res.objective**2:.6f}"
+        f"analytic_J2={j2:.9g} ratio={emp / j2 if j2 else math.nan:.6f}"
     )
     return 0
 
@@ -308,15 +295,8 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_youla_check(args) -> int:
-    c2 = fileio.read_matrix(args.c2) if args.c2 else None
-    plant = _load_plant(args.plantfile, c2=c2)
+    plant, rnom, *_ = _read_problem(args.bundle)
     ms = validate_c2(plant.C2)
-    if args.laplacian:
-        rnom = laplacian_rnom(ms.adjacency)
-    elif args.rnomfile:
-        rnom = StateSpace.static_gain(fileio.read_matrix(args.rnomfile))
-    else:
-        raise DomainError("provide an rnom file or --laplacian")
     stable, relative, stabilizing, _ = nominal_verdicts(build_tilde_plant(plant), rnom, ms)
     print(f"nominal controller stable:                    {_verdict(stable)}")
     print(f"annihilates every component indicator:        {_verdict(relative)}")

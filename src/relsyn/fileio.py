@@ -116,6 +116,21 @@ def write_text(path: str, text: str) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
+def write_texts(texts: dict) -> None:
+    """Write each path's text, in order, by :func:`write_text`.  When one
+    write fails, the files written before it are removed, so that a
+    failed command leaves no partial output."""
+    written = []
+    try:
+        for path, text in texts.items():
+            write_text(path, text)
+            written.append(path)
+    except DomainError:
+        for path in written:
+            os.remove(path)
+        raise
+
+
 def read_matrix(path: str) -> np.ndarray:
     toks = _Tokens(path)
     rows, cols = toks.sizes("rows cols")
@@ -137,9 +152,14 @@ def read_fir(path: str) -> FirSystem:
     return FirSystem(taps)
 
 
-def write_fir(path: str, f: FirSystem) -> None:
+def fir_text(f: FirSystem) -> str:
+    """The contents of an FIR file holding `f`."""
     taps = "".join("\n" + _rows(tap) for tap in f.taps)
-    write_text(path, f"{f.n_outputs} {f.n_inputs} {f.horizon}\n{taps}")
+    return f"{f.n_outputs} {f.n_inputs} {f.horizon}\n{taps}"
+
+
+def write_fir(path: str, f: FirSystem) -> None:
+    write_text(path, fir_text(f))
 
 
 def read_structure(path: str) -> InfoStructure:

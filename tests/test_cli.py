@@ -6,10 +6,28 @@ import os
 import numpy as np
 import pytest
 
-from relsyn import InfoStructure, laplacian_rnom, ring_adjacency, ring_plant
-from relsyn import fileio
+from relsyn import (
+    InfoStructure,
+    Plant,
+    laplacian_rnom,
+    ring_adjacency,
+    ring_delay_structure,
+    ring_plant,
+    solve_ring_circulant,
+)
+from relsyn import cli, fileio
 from relsyn.bench import all_pairs_sensing, triangular_plant
 from relsyn.cli import main
+
+
+def plant_bundle(tmp_path, plant, keys):
+    """p.bundle over p.plant and the ring delay structure s.struct,
+    followed by the lines `keys`."""
+    fileio.write_plant(tmp_path / "p.plant", plant)
+    fileio.write_structure(tmp_path / "s.struct", ring_delay_structure(plant.n_states))
+    bundle = tmp_path / "p.bundle"
+    bundle.write_text("plant = p.plant\nstructure = s.struct\n" + keys)
+    return bundle
 
 
 def test_graph_json(tmp_path, capsys):
@@ -154,39 +172,97 @@ def test_example_subcommands(capsys):
 
 
 def test_youla_check(tmp_path, capsys):
-    plant = ring_plant(3, 0.5)
-    plant_path = tmp_path / "p.plant"
-    fileio.write_plant(plant_path, plant)
-    assert main(["youla", "check", str(plant_path), "--laplacian"]) == 0
+    bundle = plant_bundle(tmp_path, ring_plant(3, 0.5), "laplacian = true\n")
+    assert main(["youla", "check", str(bundle)]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 3
 
-    zero = tmp_path / "zero.mat"
-    fileio.write_matrix(zero, np.zeros((3, 3)))
-    assert main(["youla", "check", str(plant_path), str(zero)]) == 1
+    fileio.write_matrix(tmp_path / "zero.mat", np.zeros((3, 3)))
+    bundle.write_text("plant = p.plant\nstructure = s.struct\nrnom = zero.mat\n")
+    assert main(["youla", "check", str(bundle)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out  # zero gain does not stabilize the ring
 
     # no nominal controller to check: a typed error, exit code 1
-    assert main(["youla", "check", str(plant_path)]) == 1
+    bundle.write_text("plant = p.plant\nstructure = s.struct\n")
+    assert main(["youla", "check", str(bundle)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: provide an rnom file or --laplacian\n"
+    assert captured.err == (
+        f"error: {bundle}: name the nominal exactly once, "
+        f"by 'rnom = <file>' or 'laplacian = true'\n"
+    )
 
 
 def test_youla_check_fails_a_nominal_that_recovery_rejects(tmp_path, capsys):
     # a row sum of 5e-11 on the Laplacian nominal
-    plant_path = tmp_path / "p.plant"
-    fileio.write_plant(plant_path, ring_plant(5, 0.4))
     gain = np.array(laplacian_rnom(ring_adjacency(5)).D)
     gain[0, 0] += 5e-11
-    rnom = tmp_path / "rnom.mat"
-    fileio.write_matrix(rnom, gain)
-    assert main(["youla", "check", str(plant_path), str(rnom)]) == 1
+    fileio.write_matrix(tmp_path / "rnom.mat", gain)
+    bundle = plant_bundle(tmp_path, ring_plant(5, 0.4), "rnom = rnom.mat\n")
+    assert main(["youla", "check", str(bundle)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("annihilates every component indicator:")
     assert out[1].endswith("FAIL")
     assert [line.endswith("ok") for line in (out[0], out[2])] == [True, True]
+
+
+def test_youla_check_and_solve_reject_the_same_nominal(tmp_path, capsys):
+    # B2 = 2I on ring 4: -(1/4)L of the ring (the delay-1 graph of the
+    # structure) puts a closed-loop pole at -1; the path graph of the
+    # sensing would have stabilized it
+    ring = ring_plant(4, 0.4)
+    plant = Plant(A=ring.A, B1=ring.B1, B2=2 * np.eye(4), C1=ring.C1, D12=ring.D12, C2=ring.C2)
+    bundle = plant_bundle(tmp_path, plant, "laplacian = true\n")
+    assert main(["youla", "check", str(bundle)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("stabilizes extended plant modulo agreement:")
+    assert out[2].endswith("FAIL")
+    assert main(["solve", str(bundle)]) == 1
+    assert_one_error_line(capsys, "does not internally stabilize")
+
+
+@pytest.mark.parametrize("n, gamma", [(3, 0.5), (8, 0.2)])
+def test_ring_bundle_is_the_ring_problem(tmp_path, n, gamma):
+    bundle = tmp_path / "ring.bundle"
+    bundle.write_text(f"ring = {n}\ngamma = {gamma}\nhorizon_q = 32\n")
+    res, _, _ = cli._solve_bundle(str(bundle))
+    ref = solve_ring_circulant(n, gamma, 32)
+    assert res.objective == ref.objective
+    assert np.array_equal(res.q_opt.taps, ref.q_opt.taps)
+    assert np.array_equal(res.k_opt.taps, ref.k_opt.taps)
+
+
+@pytest.mark.parametrize(
+    "keys, fragments",
+    [
+        # never opens missing.mat: the keys are rejected first
+        (
+            "ring = 3\nrnom = missing.mat\nlaplacian = maybe\n",
+            ["ring bundle", "plant, structure, rnom, laplacian"],
+        ),
+        ("laplacian = on\n", ["laplacian", "'on'"]),
+        ("rnom = rnom.mat\nlaplacian = true\n", ["exactly once"]),
+    ],
+    ids=["ring-with-plant-keys", "laplacian-on", "nominal-twice"],
+)
+def test_malformed_bundle_is_a_typed_error(tmp_path, capsys, keys, fragments):
+    fileio.write_matrix(tmp_path / "rnom.mat", laplacian_rnom(ring_adjacency(3)).D)
+    bundle = plant_bundle(tmp_path, ring_plant(3, 0.5), keys)
+    assert main(["solve", str(bundle)]) == 1
+    assert_one_error_line(capsys, *fragments)
+    assert not (tmp_path / "p_q_opt.fir").exists()
+
+
+def test_simulate_with_zero_cost_prints_nan_ratio(tmp_path, capsys):
+    ring = ring_plant(3, 0.5)
+    plant = Plant(A=ring.A, B1=ring.B1, B2=ring.B2, C1=0 * ring.C1, D12=0 * ring.D12, C2=ring.C2)
+    keys = "laplacian = true\nhorizon_q = 8\n"
+    bundle = plant_bundle(tmp_path, plant, keys)
+    assert main(["simulate", str(bundle), "--steps", "100", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "analytic_J2=0 " in out
+    assert out.rstrip().endswith("ratio=nan")
 
 
 def test_error_reporting(tmp_path, capsys):
@@ -297,9 +373,19 @@ def test_fir_path_that_is_a_directory_is_a_typed_error(tmp_path, capsys):
     assert_one_error_line(capsys, str(tmp_path / "out" / "b_q_opt.fir"))
 
 
+def test_second_fir_path_that_is_a_directory_leaves_no_first_file(tmp_path, capsys):
+    bundle = tmp_path / "c.bundle"
+    bundle.write_text("ring = 3\nhorizon_q = 4\n")
+    (tmp_path / "out" / "c_k_opt.fir").mkdir(parents=True)
+    assert main(["solve", str(bundle), "--out-dir", str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys, str(tmp_path / "out" / "c_k_opt.fir"))
+    assert not (tmp_path / "out" / "c_q_opt.fir").exists()
+
+
 def test_plot_script_path_that_is_a_directory_is_a_typed_error(tmp_path, capsys):
     (tmp_path / "d" / "x_plot.py").mkdir(parents=True)
     out_csv = tmp_path / "d" / "x.csv"
     argv = ["ring-sweep", "--n", "3", "--gamma", "0.5", "--horizon-q", "4"]
     assert main(argv + ["--out", str(out_csv), "--no-plot"]) == 1
     assert_one_error_line(capsys, str(tmp_path / "d" / "x_plot.py"))
+    assert not out_csv.exists()

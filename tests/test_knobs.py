@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "relsyn"
 DEFAULTED = {
     ("bench", "run_ring_sweep", "render"),
     ("cli", "main", "argv"),
-    ("cli", "_load_plant", "c2"),
     ("errors", "DecompositionError.__init__", "tap"),
     ("errors", "StructureViolationError.__init__", "certificate"),
     ("fileio", "number", "kind"),
