@@ -33,8 +33,8 @@ class InfoStructure:
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.min_delay, dtype=np.float64))
-        finite = d[np.isfinite(d)]
-        if finite.size and (np.any(finite < 0) or np.any(finite != np.round(finite))):
+        # NaN and -inf fail the sign test; +inf passes both
+        if not np.all((d >= 0) & (d == np.round(d))):
             raise DomainError("min_delay entries must be nonnegative integers or inf")
         object.__setattr__(self, "min_delay", _freeze(d))
 
@@ -141,6 +141,11 @@ def transfer_pattern(sys: StateSpace) -> InfoStructure:
     return InfoStructure(delay)
 
 
+#: Entries in one temporary of the QI kernels, unless a single row of the
+#: temporary is larger; about 0.5 MB of float64.
+_BLOCK = 1 << 16
+
+
 def is_qi(s: InfoStructure, g: InfoStructure) -> bool:
     """Quadratic invariance of the structure s with respect to the plant
     pattern g, in delay/sparsity form.
@@ -149,39 +154,62 @@ def is_qi(s: InfoStructure, g: InfoStructure) -> bool:
     structure: for all (i, j, k, m) with the left side finite,
     ``s(i,j) + g(j,k) + s(k,m) >= s(i,m)``.
     """
-    return qi_certificate(s, g) is None
+    return not _violating_rows(s, g).any()
 
 
 def qi_certificate(s: InfoStructure, g: InfoStructure):
     """None when quadratically invariant, else the lexically first
     violating index quadruple (i, j, k, m).
 
-    The verdict comes from two min-plus products, (s g) over j and then
-    (s g s) over k, which need only l x l and l x p arrays; the witness
-    is searched in the first violating row i alone, on a (p, l, p) slice.
+    The verdict is :func:`is_qi`'s: row i violates iff (s g s)(i, m) <
+    s(i, m) for some m, from two min-plus products.  The witness is then
+    searched in the first violating row i alone, over the j with
+    s(i, j) finite, since an inf entry makes every sum through it inf.
+    Those j are taken a block at a time in increasing order, each block
+    as one (j, k, m) array of sums s(i,j) + g(j,k) + s(k,m); the first
+    hit in C order of the first block that has one is the lexically
+    first (j, k, m), because no earlier j has a hit.  With l x p
+    structures, every temporary holds at most max(``_BLOCK``, l p)
+    entries, so memory is O(l p) where the full search takes l^2 p^2.
     """
+    violating = np.flatnonzero(_violating_rows(s, g))
+    if violating.size == 0:
+        return None
+    ds, dg = s.min_delay, g.min_delay
+    i = int(violating[0])
+    finite = np.flatnonzero(np.isfinite(ds[i]))
+    step = max(1, _BLOCK // max(1, dg.size))
+    for j0 in range(0, finite.size, step):
+        js = finite[j0 : j0 + step]
+        hit = ds[i, js, None, None] + dg[js, :, None] + ds[None] < ds[i]
+        if hit.any():
+            j, k, m = np.unravel_index(int(np.argmax(hit)), hit.shape)
+            return i, int(js[j]), int(k), int(m)
+    raise AssertionError("a violating row has a violating quadruple")
+
+
+def _violating_rows(s: InfoStructure, g: InfoStructure) -> np.ndarray:
+    """Boolean per row i of s: some (j, k, m) violates QI, read off the
+    min-plus product s g s."""
     if s.cols != g.rows or g.cols != s.rows:
         raise DimensionError(
             f"need s: {s.rows}x{s.cols} against g: {s.cols}x{s.rows}, "
             f"got g: {g.rows}x{g.cols}"
         )
-    ds, dg = s.min_delay, g.min_delay
-    sgs = _min_plus(_min_plus(ds, dg), ds)
-    rows = np.flatnonzero((sgs < ds).any(axis=1))
-    if rows.size == 0:
-        return None
-    i = int(rows[0])
-    # composite[j, k, m] = ds(i,j) + dg(j,k) + ds(k,m)
-    composite = ds[i][:, None, None] + dg[:, :, None] + ds[None, :, :]
-    j, k, m = np.unravel_index(int(np.argmax(composite < ds[i])), composite.shape)
-    return i, int(j), int(k), int(m)
+    ds = s.min_delay
+    return (_min_plus(_min_plus(ds, g.min_delay), ds) < ds).any(axis=1)
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product: out[i, k] = min over j of a[i, j] + b[j, k]."""
-    out = np.full((a.shape[0], b.shape[1]), INF)
-    for j in range(a.shape[1]):
-        np.minimum(out, a[:, j, None] + b[None, j, :], out=out)
+    """Min-plus product: out[i, k] = min over j of a[i, j] + b[j, k].
+
+    Rows of a are taken a block at a time, so the (rows, j, k) sums hold
+    at most max(``_BLOCK``, b.size) entries.
+    """
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLOCK // max(1, b.size))
+    for r0 in range(0, a.shape[0], step):
+        np.min(a[r0 : r0 + step, :, None] + b[None], axis=1, initial=INF, out=out[r0 : r0 + step])
     return out
 
 

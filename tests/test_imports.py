@@ -1,9 +1,24 @@
-"""No module of relsyn uses another module's private name."""
+"""No module of relsyn uses another module's private name, and importing
+relsyn loads no heavy dependency that it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relsyn"
+
+#: Modules that `import relsyn` must not load: each costs import time on
+#: every CLI call and benchmark set-up, and relsyn needs none of them.
+HEAVY = (
+    "scipy.sparse",
+    "scipy.signal",
+    "scipy.optimize",
+    "scipy.special",
+    "scipy.stats",
+    "matplotlib",
+)
 
 #: Private helpers that every module shares on purpose.
 SHARED = {("lti", "_as_matrix"), ("lti", "_freeze")}
@@ -43,3 +58,13 @@ def test_no_private_name_crosses_a_module():
 def test_attribute_form_is_caught():
     source = "from . import fileio as io, lti\nio._number('f', '1')\nlti._freeze(x)\n"
     assert private_crossings(source, "m.py") == ["m.py:2: io._number"]
+
+
+def test_import_loads_no_heavy_module():
+    probe = f"import sys, relsyn; print(sorted(m for m in {HEAVY!r} if m in sys.modules))"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,10 @@
 """Information structures, quadratic invariance and constraint compilation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relsyn import (
@@ -20,6 +22,7 @@ from relsyn import (
     ring_delay_structure,
     transfer_pattern,
 )
+from relsyn import structure
 from relsyn.bench import local_sensor_structure, triangular_plant
 
 
@@ -60,6 +63,40 @@ def pattern_loop(sys):
     return delay
 
 
+def min_plus_loop(a, b):
+    """Min-plus product by one pass per inner index: the column loop the
+    blocked kernel replaced, kept as its oracle."""
+    out = np.full((a.shape[0], b.shape[1]), np.inf)
+    for j in range(a.shape[1]):
+        np.minimum(out, a[:, j, None] + b[None, j, :], out=out)
+    return out
+
+
+def brute_force_certificate(ds, dg):
+    """Lexically first violating (i, j, k, m) of the full 4-d evaluation."""
+    composite = ds[:, :, None, None] + dg[None, :, :, None] + ds[None, None, :, :]
+    violation = composite < ds[:, None, None, :]
+    if not violation.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(np.argmax(violation)), violation.shape))
+
+
+def draw_delays(data, rows, cols):
+    """A rows x cols delay matrix whose rows are each mixed, all inf or
+    all finite."""
+    delay = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
+    kinds = {
+        "mixed": delay,
+        "inf": st.just(np.inf),
+        "finite": st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    }
+    out = np.empty((rows, cols))
+    for r in range(rows):
+        kind = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+        out[r] = data.draw(st.lists(kind, min_size=cols, max_size=cols))
+    return out
+
+
 def tree_with_chords(rng, n, chords):
     A = np.zeros((n, n))
     order = rng.permutation(n)
@@ -77,6 +114,17 @@ def path_adjacency(n):
     idx = np.arange(n - 1)
     A[idx, idx + 1] = A[idx + 1, idx] = 1.0
     return A
+
+
+class TestInfoStructure:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, 0.5])
+    def test_bad_delay_rejected(self, bad):
+        with pytest.raises(DomainError):
+            InfoStructure([[bad, 0.0], [0.0, 0.0]])
+
+    def test_nan_structure_never_reaches_qi(self):
+        with pytest.raises(DomainError):
+            is_qi(InfoStructure([[np.nan, 0.0], [0.0, 0.0]]), InfoStructure(np.zeros((2, 2))))
 
 
 class TestRingDelayStructure:
@@ -240,24 +288,52 @@ class TestQuadraticInvariance:
         dg = g.min_delay
         assert ds[i, j] + dg[j, k] + ds[k, m] < ds[i, m]
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(
+        max_examples=400,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(st.data())
-    def test_certificate_matches_brute_force(self, data):
+    def test_certificate_matches_brute_force(self, monkeypatch, data):
         # the lexically first violating quadruple of the full 4-d
-        # evaluation, on random small structures with inf entries
-        delay = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
-        l = data.draw(st.integers(1, 4))
-        p = data.draw(st.integers(1, 4))
-        ds = np.array(data.draw(st.lists(delay, min_size=l * p, max_size=l * p)))
-        dg = np.array(data.draw(st.lists(delay, min_size=l * p, max_size=l * p)))
-        ds, dg = ds.reshape(l, p), dg.reshape(p, l)
-        composite = ds[:, :, None, None] + dg[None, :, :, None] + ds[None, None, :, :]
-        violation = composite < ds[:, None, None, :]
-        expected = None
-        if violation.any():
-            flat = int(np.argmax(violation))
-            expected = tuple(int(v) for v in np.unravel_index(flat, violation.shape))
-        assert qi_certificate(InfoStructure(ds), InfoStructure(dg)) == expected
+        # evaluation, on random small structures with inf entries, with
+        # blocks of one j (or one row), of a prime number of entries and
+        # the default; zero sizes included
+        monkeypatch.setattr(structure, "_BLOCK", data.draw(st.sampled_from([1, 7, 1 << 16])))
+        l = data.draw(st.integers(0, 8))
+        p = data.draw(st.integers(0, 8))
+        ds, dg = draw_delays(data, l, p), draw_delays(data, p, l)
+        expected = brute_force_certificate(ds, dg)
+        s, g = InfoStructure(ds), InfoStructure(dg)
+        assert qi_certificate(s, g) == expected
+        assert is_qi(s, g) == (expected is None)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_min_plus_matches_column_loop(self, block, monkeypatch, rng):
+        monkeypatch.setattr(structure, "_BLOCK", block)
+        shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1), (9, 5, 13), (20, 190, 20)]
+        for rows, inner, cols in shapes:
+            a = rng.integers(0, 5, (rows, inner)).astype(float)
+            b = rng.integers(0, 5, (inner, cols)).astype(float)
+            a[rng.random(a.shape) < 0.4] = np.inf
+            b[rng.random(b.shape) < 0.4] = np.inf
+            if rows > 1:
+                a[1] = np.inf
+            np.testing.assert_array_equal(structure._min_plus(a, b), min_plus_loop(a, b))
+
+    def test_triangular_20_certificate_in_bounded_memory(self):
+        # the full (p, l, p) slice of the first row alone is 722k entries
+        s = local_sensor_structure(20)
+        g = transfer_pattern(triangular_plant(20).pyu())
+        tracemalloc.start()
+        try:
+            cert = qi_certificate(s, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert == (0, 0, 1, 19)
+        assert peak < 2 * 2**20
 
     def test_triangular_structure_qi_for_state_map(self):
         plant = triangular_plant(4)
