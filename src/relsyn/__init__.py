@@ -43,7 +43,6 @@ from .lti import (
 from .measurement import (
     MeasurementStructure,
     check_relative,
-    decompose,
     recover_controller,
     recovered_structure,
     validate_c2,
@@ -78,7 +77,6 @@ from .structure import (
 from .youla import (
     YoulaData,
     build_tilde_plant,
-    check_e_constraint,
     laplacian_rnom,
     make_t_systems,
     nominal_verdicts,

@@ -197,8 +197,8 @@ class DecompositionExampleReport:
 
 def run_example_1() -> DecompositionExampleReport:
     """Five states, two sensors, three components: recovery exists only
-    when the map decomposes into per-component relative blocks and the
-    isolated state's column vanishes."""
+    when the map is relative on each component and the isolated state's
+    column vanishes."""
     C2 = np.array(
         [
             [1.0, 0.0, -1.0, 0.0, 0.0],

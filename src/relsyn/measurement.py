@@ -3,12 +3,13 @@
 A sensing matrix whose rows each contain exactly one +1 and one -1 induces
 a graph on the states: vertices are states, edges are measured differences.
 This module validates such matrices, derives the graph (components and 0/1
-indicator vectors), tests and decomposes relative maps, and constructively
-recovers an output-feedback gain K from a state-feedback map R satisfying
-K C2 = R.  Such a K exists exactly when R annihilates every component's
-indicator, which :func:`check_relative` alone tests in relsyn.  On the
-rows of a spanning tree of each component C2 has full row rank, so K is
-unique there: the gain on tree row (v, parent v) is the sum of R's
+indicator vectors), tests relative maps, and constructively recovers an
+output-feedback gain K from a state-feedback map R satisfying K C2 = R.
+Such a K exists exactly when R annihilates every component's indicator,
+which :func:`check_relative` alone tests in relsyn.  Recovery is then one
+linear map, K = R Z, with Z the n x p recovery map of the structure.  On
+the rows of a spanning tree of each component C2 has full row rank, so K
+is unique there: the gain on tree row (v, parent v) is the sum of R's
 columns over the subtree of v.  Every other row gets zero.
 """
 
@@ -43,17 +44,13 @@ class MeasurementStructure:
         smallest vertex.
     indicators : (N, n) matrix
         Row i is the 0/1 indicator vector of component i.
-    recovery_maps : tuple
-        The recovery map Z of each component, built on first access and
-        then kept: the c x p_c signed subtree incidence matrix of the
-        breadth-first spanning tree from the smallest vertex (neighbours
-        ascending).  The column of tree row (v, parent v) is +-1 on the
-        subtree of v, signed so that the row reads x_v - x_parent; the
-        columns of the other rows are zero.  Rows and columns follow
-        `components[i]` and `component_rows[i]`.
-    component_rows : tuple of tuples
-        The measurement rows of each component, ascending, built on first
-        access and then kept.
+    recovery_map : (n, p) matrix
+        Z with K = R Z for every relative R, built on first access and
+        then kept: the signed subtree incidence matrix of the breadth-first
+        spanning forest, one tree per component from its smallest vertex
+        (neighbours ascending).  The column of tree row (v, parent v) is
+        +-1 on the subtree of v, signed so that the row reads
+        x_v - x_parent; every other column is zero.
     """
 
     c2: Matrix
@@ -74,36 +71,23 @@ class MeasurementStructure:
         return len(self.components)
 
     @cached_property
-    def recovery_maps(self) -> tuple:
+    def recovery_map(self) -> Matrix:
         trees, parent = _bfs_forest(self.adjacency)
         plus = np.argmax(self.c2 == 1.0, axis=1).tolist()
         minus = np.argmax(self.c2 == -1.0, axis=1).tolist()
         row_of = {}
         for ell, (i, j) in enumerate(zip(plus, minus)):
             row_of[i, j] = row_of[j, i] = ell
-        maps = []
-        for comp, tree, rows in zip(self.components, trees, self.component_rows):
-            local = {v: k for k, v in enumerate(comp)}
-            col = {ell: k for k, ell in enumerate(rows)}
-            # column k becomes the subtree of comp[k]: children come after
-            # their parent in breadth-first order, so leaves go first
-            subtree = np.eye(len(comp))
-            Z = np.zeros((len(comp), len(rows)))
-            for v in reversed(tree[1:]):
-                ell = row_of[v, parent[v]]
-                Z[:, col[ell]] = self.c2[ell, v] * subtree[:, local[v]]
-                subtree[:, local[parent[v]]] += subtree[:, local[v]]
-            # read-only: every recovery from this structure shares it
-            maps.append(_freeze(Z))
-        return tuple(maps)
-
-    @cached_property
-    def component_rows(self) -> tuple:
-        # both ends of a sensing row lie in one component: its +1 end's
-        comp = np.argmax(self.indicators, axis=0)[np.argmax(self.c2 == 1.0, axis=1)]
-        order = np.argsort(comp, kind="stable")
-        ends = np.cumsum(np.bincount(comp, minlength=self.n_components))[:-1]
-        return tuple(tuple(rows.tolist()) for rows in np.split(order, ends))
+        # column of v's tree row becomes the subtree of v: children come
+        # after their parent in breadth-first order, so leaves go first
+        subtree = np.eye(self.n_states)
+        Z = np.zeros((self.n_states, self.n_measurements))
+        for v in reversed([v for tree in trees for v in tree[1:]]):
+            ell = row_of[v, parent[v]]
+            Z[:, ell] = self.c2[ell, v] * subtree[:, v]
+            subtree[:, parent[v]] += subtree[:, v]
+        # read-only: every recovery from this structure shares it
+        return _freeze(Z)
 
     def disagreement_basis(self) -> Matrix:
         """Orthonormal basis of the complement of span of the indicators.
@@ -202,7 +186,7 @@ def _bfs_forest(adjacency: Matrix) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the relative-map contract, decomposition and recovery
+# the relative-map contract and recovery
 # ---------------------------------------------------------------------------
 
 
@@ -245,8 +229,8 @@ def relative_taps(R, indicators) -> np.ndarray:
     They are every tap of a FIR map, a static matrix as one tap, and the
     Markov parameters 0..2 n_states of a state-space map, which decide the
     question by Cayley-Hamilton.  Nominal validation
-    (:func:`~relsyn.youla.check_e_constraint`), :func:`decompose` and
-    :func:`recover_controller` all read R through this one helper.
+    (:func:`~relsyn.youla.nominal_verdicts`) and :func:`recover_controller`
+    both read R through this one helper.
     """
     if isinstance(R, StateSpace):
         taps = markov(R, 2 * R.n_states).taps
@@ -258,51 +242,29 @@ def relative_taps(R, indicators) -> np.ndarray:
     return taps
 
 
-def decompose(R, ms: MeasurementStructure) -> tuple:
-    """Split R into per-component blocks, each of which must be relative.
-
-    Splits the taps of :func:`relative_taps` (a state-space map by its
-    Markov taps 0..2 n_states) into one FIR block per component:
-    `blocks[i]` acts on the i-th component's state sub-vector, columns in
-    sorted component order.  Fails with the
-    :class:`DecompositionError` of :func:`check_relative` when R is not
-    relative; a single-vertex component forces an identically zero block.
-    """
-    taps = relative_taps(R, ms.indicators)
-    return tuple(FirSystem(taps[:, :, list(comp)]) for comp in ms.components)
-
-
 def recover_controller(R, ms: MeasurementStructure):
     """Recover K with K C2 = R, in the same representation as R.
 
-    For a FIR map every tap is recovered independently (matching Markov
-    parameters suffices), and a static matrix is the FIR map of one tap:
-    once :func:`check_relative` accepts R, each component's gains are its
-    columns of R times the recovery map, K[:, rows] = R[:, comp] Z.
-    The gain on tree row (v, parent v) is then the sum of R's columns over
-    the subtree of v, and the rows outside each component's spanning tree
-    receive zeros.  A state-space map is accepted exactly when its Markov
-    taps are relative (:func:`relative_taps`).  Its B then loses its part
-    along the indicators, B - B E' diag(1/|comp|) E, which the relative
-    taps C A^k B E' = 0 leave unobservable, so the transfer function stays
-    R; K keeps A and C, and gets the recovered B and D.
+    Once :func:`check_relative` accepts R, K is R times the recovery map
+    Z: ``taps @ Z`` for a FIR map (matching Markov parameters suffices)
+    and for a static matrix, its one tap.  The gain on tree row
+    (v, parent v) is then the sum of R's columns over the subtree of v,
+    and the rows outside the spanning forest receive zeros.  A
+    state-space map is accepted exactly when its Markov taps are relative
+    (:func:`relative_taps`).  Its B then loses its part along the
+    indicators, B - B E' diag(1/|comp|) E, which the relative taps
+    C A^k B E' = 0 leave unobservable, so the transfer function stays R;
+    K keeps A and C, and gets B Z and D Z.
     Raises :class:`DecompositionError` when R is not relative.
     """
     taps = relative_taps(R, ms.indicators)
+    Z = ms.recovery_map
     if isinstance(R, StateSpace):
         E = ms.indicators
         B = R.B - (R.B @ E.T) @ (E / E.sum(axis=1, keepdims=True))
-        return StateSpace(R.A, _recover(B, ms), R.C, _recover(R.D, ms))
-    K = _recover(taps, ms)
+        return StateSpace(R.A, B @ Z, R.C, R.D @ Z)
+    K = taps @ Z
     return FirSystem(K) if isinstance(R, FirSystem) else K[0]
-
-
-def _recover(taps: np.ndarray, ms: MeasurementStructure) -> np.ndarray:
-    """K with K C2 = taps along the last axis, component by component."""
-    K = np.zeros(taps.shape[:-1] + (ms.n_measurements,))
-    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
-        K[..., list(rows)] = taps[..., list(comp)] @ Z
-    return K
 
 
 def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) -> InfoStructure:
@@ -313,12 +275,23 @@ def recovered_structure(r_structure: InfoStructure, ms: MeasurementStructure) ->
     R's columns over the subtree of v and minus their sum over the rest of
     the component, so it vanishes below the larger of the two minimum
     delays.  An off-tree row's subtree is empty, so its bound is inf.
+    Subtrees and their components are read off the recovery map.
     """
+    if r_structure.cols != ms.n_states:
+        raise DimensionError(
+            f"R structure is {r_structure.rows}x{r_structure.cols}, "
+            f"C2 is {ms.n_measurements}x{ms.n_states}"
+        )
     out = np.full((r_structure.rows, ms.n_measurements), np.inf)
-    for comp, rows, Z in zip(ms.components, ms.component_rows, ms.recovery_maps):
+    subtree = ms.recovery_map != 0
+    tree = np.flatnonzero(subtree.any(axis=0))
+    # a tree row's component is that of any vertex of its subtree
+    tree_comp = np.argmax(ms.indicators, axis=0)[np.argmax(subtree[:, tree], axis=0)]
+    for ci, comp in enumerate(ms.components):
+        rows = tree[tree_comp == ci]
         delay = r_structure.min_delay[:, list(comp), None]
-        subtree = Z != 0
-        inside = np.where(subtree, delay, np.inf).min(axis=1)
-        outside = np.where(subtree, np.inf, delay).min(axis=1)
-        out[:, list(rows)] = np.maximum(inside, outside)
+        inside_mask = subtree[np.ix_(comp, rows)]
+        inside = np.where(inside_mask, delay, np.inf).min(axis=1)
+        outside = np.where(inside_mask, np.inf, delay).min(axis=1)
+        out[:, rows] = np.maximum(inside, outside)
     return InfoStructure(out)

@@ -876,6 +876,11 @@ def combined_r_structure(structure: InfoStructure, yd: YoulaData) -> InfoStructu
     nominal vanishes, and the nominal's structural delays on its support.
     """
     nominal = transfer_pattern(yd.r_nom)
+    if structure.min_delay.shape != nominal.min_delay.shape:
+        raise DimensionError(
+            f"structure is {structure.rows}x{structure.cols}, "
+            f"nominal Rnom is {nominal.rows}x{nominal.cols}"
+        )
     return InfoStructure(np.minimum(structure.min_delay, nominal.min_delay))
 
 
@@ -895,10 +900,11 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
 def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     """Taps of K = Knom - F(C2 N, Q~) on the controller window.
 
-    With Q~ C2 = Q and N = F(Rnom, Pxu), F(N, Q~ C2) = F(C2 N, Q~) C2, so
-    K C2 = R: K is recovered once, from the exactly relative Q and the
-    nominal, never from R's taps.  Roundoff below K's structural bound is
-    snapped to the exact zeros that membership tests.
+    With Q~ = Q Z, Knom = Rnom Z (Z the recovery map, so Q~ C2 = Q) and
+    N = F(Rnom, Pxu), F(N, Q~ C2) = F(C2 N, Q~) C2, so K C2 = R: K is
+    recovered from the exactly relative Q and the nominal, never from R's
+    taps.  Roundoff below K's structural bound is snapped to the exact
+    zeros that membership tests.
     """
     yd, ms = prob.yd, prob.ms
     # The optimal R may be an unstable transfer function (only the closed
@@ -906,10 +912,8 @@ def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     # recovered FIR controller keeps a short structural window on which
     # the tap match k_opt C2 = R is well conditioned.
     horizon = prob.horizon_q + 2 * yd.plant.n_states
-    # recovery works tap by tap, so Knom's taps and Q's share one call
-    stacked = np.concatenate([markov(yd.r_nom, horizon).taps, q.taps])
-    both = recover_controller(FirSystem(stacked), ms).taps
-    k_nom, q_tilde = FirSystem(both[: horizon + 1]), FirSystem(both[horizon + 1 :])
+    k_nom = recover_controller(markov(yd.r_nom, horizon), ms)
+    q_tilde = recover_controller(q, ms)
     c2n = FirSystem(ms.c2 @ markov(yd.nominal_loop, horizon).taps)
     taps = np.array(fir_sub(k_nom, fir_lft(c2n, q_tilde, horizon)).taps)
     bound = recovered_structure(combined_r_structure(prob.structure, yd), ms)

@@ -61,19 +61,6 @@ def laplacian_rnom(adjacency) -> StateSpace:
     return StateSpace.static_gain(-L / n)
 
 
-def check_e_constraint(sys, indicators) -> bool:
-    """True iff the system annihilates every indicator vector, that is iff
-    :func:`~relsyn.measurement.relative_taps` accepts it: every tap of an
-    FIR map, and the Markov parameters up to twice the state dimension of
-    a state-space map, which decide the question by Cayley-Hamilton.
-    """
-    try:
-        relative_taps(sys, indicators)
-    except DecompositionError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class YoulaData:
     """Nominal controller, extended plant and the fixed systems of the
@@ -193,11 +180,15 @@ def nominal_verdicts(p_tilde: Plant, r_nom, ms: MeasurementStructure) -> tuple:
     agreement directions, with cl the closed loop of that last check.
     """
     rn = as_statespace(r_nom)
-    stable = rn.n_states == 0 or rn.is_schur()
-    relative = check_e_constraint(rn, ms.indicators)
+    try:
+        relative_taps(rn, ms.indicators)
+    except DecompositionError:
+        relative = False
+    else:
+        relative = True
     cl = close_loop(p_tilde, rn)
     dirs = _lifted_agreement(ms, cl.n_states)
-    return stable, relative, is_internally_stable(cl, dirs), cl
+    return rn.is_schur(), relative, is_internally_stable(cl, dirs), cl
 
 
 def _lifted_agreement(ms: MeasurementStructure, n_cl: int) -> list:

@@ -1,4 +1,4 @@
-"""Measurement graphs, relative decomposition and controller recovery."""
+"""Measurement graphs, relative maps and controller recovery."""
 
 from functools import cached_property
 
@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from relsyn import (
     DecompositionError,
+    DimensionError,
     FirSystem,
     InfoStructure,
     MeasurementMatrixError,
     MeasurementStructure,
     StateSpace,
     build_ring_problem,
-    check_e_constraint,
     check_relative,
     combined_r_structure,
-    decompose,
     fir_compose,
     markov,
     membership,
@@ -27,6 +26,7 @@ from relsyn import (
     solve,
     validate_c2,
 )
+from relsyn.measurement import relative_taps
 from conftest import rand_connected_c2, rand_relative_fir, rand_relative_fir_exact
 
 TWO_PAIRS = np.array([[1.0, -1, 0, 0], [0, 0, 1, -1]])
@@ -104,6 +104,15 @@ def disconnected_c2(rng, sizes):
     return C2
 
 
+def accepts(fn, *args) -> bool:
+    """Whether `fn(*args)` returns rather than raising DecompositionError."""
+    try:
+        fn(*args)
+    except DecompositionError:
+        return False
+    return True
+
+
 class TestValidateC2:
     def test_two_disjoint_pairs(self):
         ms = validate_c2(TWO_PAIRS)
@@ -173,18 +182,6 @@ class TestValidateC2:
             assert ms.components == tuple(components_loop(ms.adjacency))
             assert sorted(len(c) for c in ms.components) == sorted(sizes)
 
-    def test_component_rows_match_a_per_row_scan(self, rng):
-        # isolated vertices own no rows; every other row lies in one component
-        for sizes in ([1, 4, 1, 6], [3, 3, 3], [9, 1, 1, 2, 5], [2], [1, 7]):
-            ms = validate_c2(disconnected_c2(rng, sizes))
-            for ci, comp in enumerate(ms.components):
-                scan = tuple(
-                    ell
-                    for ell in range(ms.n_measurements)
-                    if set(np.flatnonzero(ms.c2[ell]).tolist()) <= set(comp)
-                )
-                assert ms.component_rows[ci] == scan
-
 
 class TestRelativeMap:
     def test_paper_row(self):
@@ -211,15 +208,9 @@ class TestRelativeMap:
         k = data.draw(st.integers(0, horizon))
         taps[k, data.draw(st.integers(0, l - 1)), data.draw(st.integers(0, ms.n_states - 1))] += delta
         want = delta < 1e-12
-        for R, sys in ((FirSystem(taps), FirSystem(taps)), (taps[k], StateSpace.static_gain(taps[k]))):
-            assert check_e_constraint(sys, ms.indicators) is want
-            for fn in (decompose, recover_controller):
-                try:
-                    fn(R, ms)
-                except DecompositionError:
-                    assert not want
-                else:
-                    assert want
+        for R in (FirSystem(taps), taps[k], StateSpace.static_gain(taps[k])):
+            assert accepts(relative_taps, R, ms.indicators) is want
+            assert accepts(recover_controller, R, ms) is want
 
 
 class TestSolveChain:
@@ -324,7 +315,7 @@ class TestRecovery:
         A = np.array([[0.5, 0.0], [0.0, 0.4]])
         B = np.array([[1.0, 1.0], [0.0, 0.0]])
         R = StateSpace(A, B, np.array([[0.0, 1.0]]), np.zeros((1, 2)))
-        assert check_e_constraint(R, ms.indicators)
+        assert accepts(relative_taps, R, ms.indicators)
         K = recover_controller(R, ms)
         assert np.array_equal(markov(K, 20).taps, np.zeros((21, 1, 1)))
 
@@ -351,12 +342,8 @@ class TestRecovery:
 
 
 class TestDecompose:
-    def test_single_component_identity_block(self, rng):
-        ms = validate_c2(ALL_PAIRS_4)
-        R = rand_relative_fir(rng, ms, 2, 4)
-        blocks = decompose(R, ms)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0].taps, R.taps)
+    """R is relative on every component, or recovery names the first
+    component and tap where it is not."""
 
     def test_singleton_component_must_vanish(self, rng):
         ms = validate_c2(FIVE_STATE)
@@ -364,17 +351,9 @@ class TestDecompose:
         taps = np.array(R.taps)
         taps[1, 0, 4] = 0.3
         with pytest.raises(DecompositionError) as err:
-            decompose(FirSystem(taps), ms)
+            recover_controller(FirSystem(taps), ms)
         assert err.value.component == 2
         assert err.value.tap == 1
-
-    def test_blocks_recovered_exactly(self, rng):
-        ms = validate_c2(FIVE_STATE)
-        R = rand_relative_fir(rng, ms, 2, 3)
-        taps = np.zeros_like(R.taps)
-        for comp, block in zip(ms.components, decompose(R, ms)):
-            taps[:, :, list(comp)] = block.taps
-        assert np.array_equal(taps, R.taps)
 
 
 class TestBatchedRecovery:
@@ -396,10 +375,9 @@ class TestBatchedRecovery:
         taps = np.array(rand_relative_fir(rng, ms, 2, 10).taps)
         for ci, k in bad:
             taps[k, 1, ms.components[ci][0]] += 1e-6
-        for fn in (decompose, recover_controller):
-            with pytest.raises(DecompositionError) as err:
-                fn(FirSystem(taps), ms)
-            assert (err.value.component, err.value.tap) == expected
+        with pytest.raises(DecompositionError) as err:
+            recover_controller(FirSystem(taps), ms)
+        assert (err.value.component, err.value.tap) == expected
 
 
 #: recovered_structure of chain-coordinate recovery (prefix sums along a
@@ -427,6 +405,28 @@ def relative_fir_in(rng, ms, r, horizon):
     return FirSystem(taps)
 
 
+def draw_sensing(data):
+    """A random generator and multi-component sensing with surplus rows
+    (chords), isolated vertices, random orientation and row order."""
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    sizes.append(data.draw(st.integers(2, 6)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    blocks, start = [], 0
+    for size in sizes:
+        if size > 1:
+            chords = data.draw(st.integers(0, size * (size - 1) // 2 - (size - 1)))
+            block = rand_connected_c2(rng, size, extra_edges=chords)
+            full = np.zeros((block.shape[0], n))
+            full[:, perm[start : start + size]] = block
+            blocks.append(full)
+        start += size
+    C2 = np.vstack(blocks)
+    rng.shuffle(C2)
+    return rng, C2
+
+
 class TestRecoveryMap:
     STATIC = {"two_pairs": TWO_PAIRS, "five_state": FIVE_STATE, "all_pairs": ALL_PAIRS_4}
     DELAYS = {
@@ -437,23 +437,7 @@ class TestRecoveryMap:
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
     def test_k_is_the_unique_solution_on_the_bfs_tree(self, data):
-        # surplus rows, isolated vertices, random orientation and row order
-        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
-        sizes.append(data.draw(st.integers(2, 6)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n = sum(sizes)
-        perm = rng.permutation(n)
-        blocks, start = [], 0
-        for size in sizes:
-            if size > 1:
-                chords = data.draw(st.integers(0, size * (size - 1) // 2 - (size - 1)))
-                block = rand_connected_c2(rng, size, extra_edges=chords)
-                full = np.zeros((block.shape[0], n))
-                full[:, perm[start : start + size]] = block
-                blocks.append(full)
-            start += size
-        C2 = np.vstack(blocks)
-        rng.shuffle(C2)
+        rng, C2 = draw_sensing(data)
         ms = validate_c2(C2)
         R = rand_relative_fir(rng, ms, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
         K = recover_controller(R, ms).taps
@@ -468,6 +452,28 @@ class TestRecoveryMap:
                 assert np.abs(K[k][:, rows] - want.T).max() <= 1e-12 * (1.0 + np.abs(R.taps).max())
         off = np.setdiff1d(np.arange(ms.n_measurements), tree)
         assert np.all(K[:, :, off] == 0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_recovery_map_inverts_c2_on_relative_maps(self, data):
+        rng, C2 = draw_sensing(data)
+        ms = validate_c2(C2)
+        Z = ms.recovery_map
+        assert Z.shape == (ms.n_states, ms.n_measurements)
+        # V' Z C2 = V' on the disagreement basis, so R Z C2 = R for every
+        # relative R
+        V = ms.disagreement_basis()
+        assert np.abs(V.T @ Z @ C2 - V.T).max() <= 1e-12
+        # each column lies inside its row's component; off-tree columns are 0
+        for comp in ms.components:
+            rows = np.flatnonzero(C2[:, list(comp)].any(axis=1))
+            outside = np.setdiff1d(np.arange(ms.n_states), comp)
+            assert np.all(Z[np.ix_(outside, rows)] == 0.0)
+        tree = [ell for comp in ms.components if len(comp) > 1 for ell in bfs_tree_rows(C2, comp)]
+        off = np.setdiff1d(np.arange(ms.n_measurements), tree)
+        assert np.all(Z[:, off] == 0.0)
+        R = rand_relative_fir(rng, ms, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+        assert np.array_equal(recover_controller(R, ms).taps, R.taps @ Z)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bound_holds_and_is_attained(self, seed):
@@ -495,19 +501,35 @@ class TestRecoveryMap:
         bound = recovered_structure(r, ms).min_delay
         assert np.all(bound >= np.array(CHAIN_BOUNDS[name]))
 
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 4)])
+    def test_recovered_structure_checks_its_shape(self, shape):
+        # one column short or one too many: no bound off a partial match
+        ms = validate_c2(chain_c2(3))
+        with pytest.raises(DimensionError) as err:
+            recovered_structure(InfoStructure(np.zeros(shape)), ms)
+        assert str(err.value) == f"R structure is {shape[0]}x{shape[1]}, C2 is 2x3"
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 4)])
+    def test_combined_structure_checks_its_shape(self, shape):
+        # a structure unlike the nominal neither fails in numpy nor broadcasts
+        yd = build_ring_problem(4, 0.4, 4).yd
+        with pytest.raises(DimensionError) as err:
+            combined_r_structure(InfoStructure(np.zeros(shape)), yd)
+        assert str(err.value) == f"structure is {shape[0]}x{shape[1]}, nominal Rnom is 4x4"
+
     def test_recovery_map_built_once_per_structure(self, rng, monkeypatch):
         # recover_controller and recovered_structure share one map per
         # structure, built on first use and never by validate_c2
         built = []
-        original = MeasurementStructure.__dict__["recovery_maps"].func
+        original = MeasurementStructure.__dict__["recovery_map"].func
 
         def spy(ms):
             built.append(ms)
             return original(ms)
 
         prop = cached_property(spy)
-        prop.__set_name__(MeasurementStructure, "recovery_maps")
-        monkeypatch.setattr(MeasurementStructure, "recovery_maps", prop)
+        prop.__set_name__(MeasurementStructure, "recovery_map")
+        monkeypatch.setattr(MeasurementStructure, "recovery_map", prop)
         ms = validate_c2(FIVE_STATE)
         assert built == []
         for _ in range(2):
@@ -536,7 +558,7 @@ class TestStructuralInvariants:
             ms = validate_c2(rand_connected_c2(rng, n, extra_edges=1))
             K = FirSystem(rng.normal(size=(4, 2, ms.n_measurements)))
             R = fir_compose(K, FirSystem(ms.c2[np.newaxis]))
-            decompose(R, ms)  # must not raise
+            check_relative(R.taps, ms.indicators)  # must not raise
             # round trip: only the product K C2 is invariant, not K itself
             K2 = recover_controller(R, ms)
             R2 = fir_compose(K2, FirSystem(ms.c2[np.newaxis]))
@@ -552,7 +574,7 @@ class TestStructuralInvariants:
         bad = FirSystem(taps)
         assert np.abs(bad.taps @ ms.indicators[0]).max() > 1e-12
         with pytest.raises(DecompositionError):
-            decompose(bad, ms)
+            recover_controller(bad, ms)
 
     def test_disagreement_basis_orthonormal(self, rng):
         for _ in range(10):
