@@ -30,7 +30,6 @@ from .lti import (
     fir_add,
     fir_compose,
     fir_lft,
-    fir_sub,
     h2_norm_fir,
     h2_norm_lyap,
     is_internally_stable,
@@ -38,7 +37,6 @@ from .lti import (
     markov,
     parallel,
     series,
-    subtract,
 )
 from .measurement import (
     MeasurementStructure,
@@ -58,7 +56,6 @@ from .solver import (
     least_squares,
     recovered_r_fir,
     ring_adjacency,
-    ring_measurement,
     ring_plant,
     solve,
     solve_ring_circulant,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, DomainError, RelsynError
-from .fileio import write_text, write_texts
+from .fileio import write_texts
 from .lti import FirSystem, Plant, StateSpace, fir_compose
 from .measurement import (
     MeasurementStructure,
@@ -25,7 +25,6 @@ from .measurement import (
     validate_c2,
 )
 from .solver import (
-    DEFAULT_Q_HORIZON,
     SynthesisProblem,
     SynthesisResult,
     combined_r_structure,
@@ -420,12 +419,15 @@ def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of ring sizes and effort weights for the cost-per-node sweep."""
+    """Grid of ring sizes and effort weights for the cost-per-node sweep,
+    the Q horizon of every solve, and the CSV path (the plot script and
+    the PNG are written beside it).  ``relsyn ring-sweep`` builds it from
+    its four flags ``--n``, ``--gamma``, ``--horizon-q`` and ``--out``."""
 
     n_values: tuple
     gamma_values: tuple
-    horizon_q: int = DEFAULT_Q_HORIZON
-    output_path: str = "ring_sweep.csv"
+    horizon_q: int
+    output_path: str
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
@@ -474,7 +476,7 @@ def _solve_row(n: int, gamma: float, cfg: SweepConfig) -> SweepRow:
     )
 
 
-def run_ring_sweep(cfg: SweepConfig, render: bool = True):
+def run_ring_sweep(cfg: SweepConfig, render: bool):
     """Solve every (n, gamma) pair, write the CSV, emit a plot script and
     (when matplotlib renders successfully) a PNG next to it.
 
@@ -502,13 +504,6 @@ def _csv_text(rows) -> str:
         for r in rows
     )
     return CSV_HEADER + "\n" + body
-
-
-def emit_csv(rows, path: str) -> str:
-    """Write sweep rows with the fixed header, 12 significant digits and
-    LF line endings."""
-    write_text(path, _csv_text(rows))
-    return path
 
 
 _PLOT_SCRIPT = """\

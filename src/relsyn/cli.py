@@ -33,9 +33,6 @@ from .youla import build_tilde_plant, laplacian_rnom, make_t_systems, nominal_ve
 _RING_KEYS = ("ring", "gamma", "horizon_q")
 _PLANT_KEYS = ("plant", "c2", "structure", "rnom", "laplacian", "gamma", "horizon_q")
 
-#: Keys of a ``relsyn ring-sweep --config`` file.
-_SWEEP_KEYS = ("n_values", "gamma_values", "horizon_q", "output_path")
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -79,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="0.2,0.4,0.5", help="comma list in [0,1]")
     p.add_argument("--horizon-q", type=int, default=DEFAULT_Q_HORIZON)
     p.add_argument("--out", default="ring_sweep.csv")
-    p.add_argument("--config", default=None,
-                   help="key = value file overriding the flags above")
     p.add_argument("--no-plot", action="store_true")
     p.set_defaults(func=_cmd_ring_sweep)
 
@@ -240,23 +235,13 @@ def _parse_n_values(text: str) -> tuple:
 
 
 def _cmd_ring_sweep(args) -> int:
-    n_text, gamma_text = args.n, args.gamma
-    horizon_q, out = args.horizon_q, args.out
-    gamma_source = "--gamma"
-    if args.config:
-        cfgfile = fileio.read_bundle(args.config, _SWEEP_KEYS)
-        n_text = cfgfile.get("n_values", n_text)
-        if "gamma_values" in cfgfile:
-            gamma_text, gamma_source = cfgfile["gamma_values"], args.config
-        horizon_q = fileio.number(args.config, cfgfile.get("horizon_q", horizon_q), int)
-        out = cfgfile.get("output_path", out)
     cfg = bench.SweepConfig(
-        n_values=_parse_n_values(n_text),
+        n_values=_parse_n_values(args.n),
         gamma_values=tuple(
-            fileio.number(gamma_source, tok) for tok in gamma_text.split(",") if tok
+            fileio.number("--gamma", tok) for tok in args.gamma.split(",") if tok
         ),
-        horizon_q=horizon_q,
-        output_path=out,
+        horizon_q=args.horizon_q,
+        output_path=args.out,
     )
     rows, csv_path, script_path, png_path = bench.run_ring_sweep(
         cfg, render=not args.no_plot

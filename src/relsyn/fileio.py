@@ -8,7 +8,8 @@ files hold named matrix blocks (A, B1, B2, C1, D12 and optionally C2),
 each introduced by its name on a line of its own.  Problem bundles are
 ``key = value`` lines with paths resolved against the bundle's directory.
 
-Lines starting with ``#`` are comments everywhere.
+Lines starting with ``#`` are comments everywhere.  Every file is read
+as UTF-8, and a bundle key or a plant block given twice is an error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ from .lti import FirSystem, Plant
 from .structure import InfoStructure
 
 
+def _lines(path: str) -> list:
+    """The lines of a UTF-8 text file; a DomainError names the path when
+    the file cannot be read or is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+
+
 class _Tokens:
     """The whitespace-separated tokens of a file, read front to back.
 
@@ -31,11 +42,7 @@ class _Tokens:
     """
 
     def __init__(self, path: str):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise DomainError(f"cannot read {path}: {exc}") from exc
+        lines = _lines(path)
         self.path = path
         self.toks = [
             (lineno, tok)
@@ -189,13 +196,15 @@ def read_plant(path: str) -> dict:
 
     A, B1, B2, C1 and D12 are required and C2 is optional; when the file
     omits C2, :func:`plant_from_blocks` takes the sensing matrix
-    separately.
+    separately.  A block given twice is an error.
     """
     toks = _Tokens(path)
     blocks = {}
     while (name := toks.peek()) is not None:
         if name not in _PLANT_BLOCKS:
             raise toks.error(f"expected a block name, one of {', '.join(_PLANT_BLOCKS)}")
+        if name in blocks:
+            raise DomainError(f"{path}:{toks.toks[toks.pos][0]}: repeated block {name!r}")
         toks.pos += 1
         rows, cols = toks.sizes("rows cols")
         body = toks.numbers(rows * cols, f"block {name!r}")
@@ -230,25 +239,22 @@ def write_plant(path: str, p: Plant) -> None:
 def read_bundle(path: str, keys: tuple) -> dict:
     """Parse ``key = value`` lines, each key one of `keys`; path-valued
     entries stay as written and are resolved against the bundle's
-    directory by `bundle_path`."""
+    directory by `bundle_path`.  A key given twice is an error."""
     out = {"_dir": os.path.dirname(os.path.abspath(path))}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = (part.strip() for part in body.split("=", 1))
-                if key not in keys:
-                    raise DomainError(
-                        f"{path}:{lineno}: unknown key {key!r}, "
-                        f"expected one of {', '.join(keys)}"
-                    )
-                out[key] = val
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(_lines(path), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (part.strip() for part in body.split("=", 1))
+        if key not in keys:
+            raise DomainError(
+                f"{path}:{lineno}: unknown key {key!r}, expected one of {', '.join(keys)}"
+            )
+        if key in out:
+            raise DomainError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = val
     return out
 
 

@@ -88,11 +88,8 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    def poles(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A) if self.n_states else np.zeros(0, complex)
-
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.poles()))) if self.n_states else 0.0
+        return float(np.max(np.abs(np.linalg.eigvals(self.A)))) if self.n_states else 0.0
 
     def is_schur(self) -> bool:
         return self.spectral_radius() < 1.0 - STABILITY_TOL
@@ -161,14 +158,6 @@ class FirSystem:
 
     def __neg__(self) -> "FirSystem":
         return FirSystem(-self.taps)
-
-    @staticmethod
-    def zero(p: int, m: int, horizon: int = 0) -> "FirSystem":
-        return FirSystem(np.zeros((horizon + 1, p, m)))
-
-    @staticmethod
-    def identity(p: int) -> "FirSystem":
-        return FirSystem(np.eye(p)[np.newaxis])
 
     def to_statespace(self) -> StateSpace:
         """Shift-register realization (state dimension m * horizon)."""
@@ -341,10 +330,6 @@ def fir_add(G: FirSystem, H: FirSystem) -> FirSystem:
     return FirSystem(G.padded(T).taps + H.padded(T).taps)
 
 
-def fir_sub(G: FirSystem, H: FirSystem) -> FirSystem:
-    return fir_add(G, -H)
-
-
 def fir_lft(G: FirSystem, H: FirSystem, horizon: int) -> FirSystem:
     """Tap-recursive loop transform H (I - G H)^(-1) on FIR systems.
 
@@ -402,10 +387,6 @@ def parallel(G: StateSpace, H: StateSpace) -> StateSpace:
     B = np.vstack([G.B, H.B])
     C = np.hstack([G.C, H.C])
     return StateSpace(A, B, C, G.D + H.D)
-
-
-def subtract(G: StateSpace, H: StateSpace) -> StateSpace:
-    return parallel(G, -H)
 
 
 def _solve_static_loop(M: Matrix, rhs: Matrix) -> Matrix:

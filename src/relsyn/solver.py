@@ -38,8 +38,8 @@ from .lti import (
     FirSystem,
     Plant,
     StateSpace,
+    fir_add,
     fir_lft,
-    fir_sub,
     markov,
     series,
 )
@@ -54,6 +54,7 @@ from .structure import (
     InfoStructure,
     membership,
     qi_certificate,
+    ring_delay_structure,
     transfer_pattern,
 )
 from .youla import YoulaData, build_tilde_plant, laplacian_rnom, make_t_systems
@@ -764,26 +765,16 @@ def ring_adjacency(n: int) -> np.ndarray:
     return A
 
 
-def ring_measurement(n: int) -> MeasurementStructure:
-    """Consecutive-difference sensing y_i = x_i - x_{i+1}, i = 0..n-2.
-
-    These n-1 independent rows connect all nodes (one component) while
-    satisfying the one-plus/one-minus and no-redundancy requirements; the
-    full cycle of n difference sensors would repeat information.
-    """
-    return validate_c2(_ring_c2(n))
-
-
-def _ring_c2(n: int) -> np.ndarray:
-    return np.eye(n - 1, n) - np.eye(n - 1, n, 1)
-
-
 def ring_plant(n: int, gamma: float) -> Plant:
     """First-order consensus plant on a ring.
 
     Dynamics x[t+1] = x + u + w with performance output stacking the
     deviation-from-average (1 - gamma) (I - (1/n) 1 1') x over the control
-    effort gamma u.
+    effort gamma u.  The sensing is the n - 1 consecutive differences
+    y_i = x_i - x_{i+1}, i = 0..n-2, not the full cycle: these rows connect
+    all nodes (one component) and meet the one-plus/one-minus and
+    no-redundancy requirements, while the cycle's n-th difference would
+    repeat information.
     """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
@@ -798,18 +789,14 @@ def ring_plant(n: int, gamma: float) -> Plant:
         B2=np.eye(n),
         C1=C1,
         D12=D12,
-        C2=_ring_c2(n),
+        C2=np.eye(n - 1, n) - np.eye(n - 1, n, 1),
     )
 
 
-def build_ring_problem(
-    n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
-) -> SynthesisProblem:
+def build_ring_problem(n: int, gamma: float, horizon_q: int) -> SynthesisProblem:
     """Ring plant + Laplacian nominal + ring delay structure, ready to solve."""
-    from .structure import ring_delay_structure
-
     plant = ring_plant(n, gamma)
-    ms = ring_measurement(n)
+    ms = validate_c2(plant.C2)
     yd = make_t_systems(
         build_tilde_plant(plant), laplacian_rnom(ring_adjacency(n)), ms
     )
@@ -849,9 +836,7 @@ def circulant_reduce(prob: SynthesisProblem) -> tuple:
     return _orbit_columns(prob, (shift, reflection))
 
 
-def solve_ring_circulant(
-    n: int, gamma: float, horizon_q: int = DEFAULT_Q_HORIZON
-) -> SynthesisResult:
+def solve_ring_circulant(n: int, gamma: float, horizon_q: int) -> SynthesisResult:
     """:func:`solve` on :func:`build_ring_problem`: the ring is one more graph.
 
     Its symmetry search finds the dihedral group, so the solve ranges over
@@ -894,7 +879,7 @@ def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
     """
     M = markov(yd.nominal_loop, horizon)
     rnom_fir = markov(yd.r_nom, horizon)
-    return fir_sub(rnom_fir, fir_lft(M, q, horizon))
+    return fir_add(rnom_fir, -fir_lft(M, q, horizon))
 
 
 def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
@@ -915,7 +900,7 @@ def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     k_nom = recover_controller(markov(yd.r_nom, horizon), ms)
     q_tilde = recover_controller(q, ms)
     c2n = FirSystem(ms.c2 @ markov(yd.nominal_loop, horizon).taps)
-    taps = np.array(fir_sub(k_nom, fir_lft(c2n, q_tilde, horizon)).taps)
+    taps = np.array(fir_add(k_nom, -fir_lft(c2n, q_tilde, horizon)).taps)
     bound = recovered_structure(combined_r_structure(prob.structure, yd), ms)
     ks = np.arange(horizon + 1)[:, None, None]
     taps[(ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)] = 0.0

@@ -35,7 +35,7 @@ from .lti import (
     drop_invariant_subspace,
     is_internally_stable,
     lft,
-    subtract,
+    parallel,
 )
 from .measurement import MeasurementStructure, relative_taps
 
@@ -204,7 +204,7 @@ def r_from_q(yd: YoulaData, Q) -> StateSpace:
     agreement directions, and R inherits indicator annihilation from Q.
     """
     Qss = as_statespace(Q)
-    return subtract(yd.r_nom, lft(yd.nominal_loop, Qss))
+    return parallel(yd.r_nom, -lft(yd.nominal_loop, Qss))
 
 
 def q_from_r(yd: YoulaData, R) -> StateSpace:
@@ -223,5 +223,5 @@ def q_from_r(yd: YoulaData, R) -> StateSpace:
             "R does not internally stabilize the extended plant; the "
             "recovered parameter would be unstable"
         )
-    delta = subtract(yd.r_nom, Rss)
+    delta = parallel(yd.r_nom, -Rss)
     return lft(-yd.nominal_loop, delta)

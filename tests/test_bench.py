@@ -24,7 +24,7 @@ from relsyn.bench import (
     CSV_HEADER,
     SweepConfig,
     SweepRow,
-    emit_csv,
+    _csv_text,
     run_example_1,
     run_motivating_example,
     run_ring_sweep,
@@ -107,22 +107,18 @@ class TestSimulation:
 
 
 class TestCsv:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], path)
-        assert path.read_text() == "n,gamma,J,J_per_node,solve_ms,residual\n"
+    def test_empty_rows_header_only(self):
+        assert _csv_text([]) == "n,gamma,J,J_per_node,solve_ms,residual\n"
 
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "one.csv"
-        emit_csv(
-            [SweepRow(n=3, gamma=0.5, J=1.25, J_per_node=1.25 / 3, solve_ms=4.2, residual=1e-12)],
-            path,
+    def test_single_row(self):
+        text = _csv_text(
+            [SweepRow(n=3, gamma=0.5, J=1.25, J_per_node=1.25 / 3, solve_ms=4.2, residual=1e-12)]
         )
-        lines = path.read_text().splitlines()
+        lines = text.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("3,0.5,1.25,")
 
-    def test_roundtrip_12_digits(self, tmp_path, rng):
+    def test_roundtrip_12_digits(self, rng):
         rows = [
             SweepRow(
                 n=int(n),
@@ -140,9 +136,7 @@ class TestCsv:
                 rng.random(5) * 1e-9,
             )
         ]
-        path = tmp_path / "rt.csv"
-        emit_csv(rows, path)
-        header, *lines = path.read_text().splitlines()
+        header, *lines = _csv_text(rows).splitlines()
         assert header == CSV_HEADER and len(lines) == len(rows)
         fields = ("gamma", "J", "J_per_node", "solve_ms", "residual")
         for a, line in zip(rows, lines):
@@ -153,8 +147,10 @@ class TestCsv:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        emit_csv([SweepRow(3, 0.5, 1.0, 1 / 3, 1.0, 0.0)], path)
+        cfg = SweepConfig(n_values=(3,), gamma_values=(0.5,), horizon_q=4, output_path=str(path))
+        run_ring_sweep(cfg, render=False)
         raw = path.read_bytes()
+        assert raw.count(b"\n") == 2
         assert b"\r" not in raw
 
 
@@ -166,7 +162,7 @@ class TestSweep:
             horizon_q=8,
             output_path=str(tmp_path / "sweep.csv"),
         )
-        rows, csv_path, script_path, png_path = run_ring_sweep(cfg)
+        rows, csv_path, script_path, png_path = run_ring_sweep(cfg, render=True)
         assert [(r.n, r.gamma) for r in rows] == [(3, 0.5), (4, 0.5)]
         assert os.path.exists(csv_path)
         assert os.path.exists(script_path)
@@ -339,13 +335,13 @@ class TestSweepFigure:
 
 class TestSweepConfigValidation:
     def test_empty_grid_rejected(self):
-        with pytest.raises(Exception):
-            SweepConfig(n_values=(), gamma_values=(0.5,))
+        with pytest.raises(DomainError):
+            SweepConfig(n_values=(), gamma_values=(0.5,), horizon_q=8, output_path="s.csv")
 
     def test_bad_gamma_rejected(self):
-        with pytest.raises(Exception):
-            SweepConfig(n_values=(3,), gamma_values=(1.5,))
+        with pytest.raises(DomainError):
+            SweepConfig(n_values=(3,), gamma_values=(1.5,), horizon_q=8, output_path="s.csv")
 
     def test_small_ring_rejected(self):
-        with pytest.raises(Exception):
-            SweepConfig(n_values=(1,), gamma_values=(0.5,))
+        with pytest.raises(DomainError):
+            SweepConfig(n_values=(1,), gamma_values=(0.5,), horizon_q=8, output_path="s.csv")

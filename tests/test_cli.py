@@ -126,26 +126,9 @@ def test_ring_sweep_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_ring_sweep_config_file(tmp_path):
-    cfgfile = tmp_path / "sweep.cfg"
-    out_csv = tmp_path / "cfg_sweep.csv"
-    cfgfile.write_text(
-        f"n_values = 3,4\ngamma_values = 0.5\nhorizon_q = 8\n"
-        f"output_path = {out_csv}\n"
-    )
-    assert main(["ring-sweep", "--config", str(cfgfile), "--no-plot"]) == 0
-    assert out_csv.exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_negative_sweep_horizon_is_a_typed_error(tmp_path, capsys, source):
+def test_negative_sweep_horizon_is_a_typed_error(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
-    if source == "flag":
-        argv = ["ring-sweep", "--n", "3", "--horizon-q", "-1", "--out", str(out_csv)]
-    else:
-        cfgfile = tmp_path / "sweep.cfg"
-        cfgfile.write_text(f"n_values = 3\nhorizon_q = -1\noutput_path = {out_csv}\n")
-        argv = ["ring-sweep", "--config", str(cfgfile)]
+    argv = ["ring-sweep", "--n", "3", "--horizon-q", "-1", "--out", str(out_csv)]
     assert main(argv + ["--no-plot"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -346,14 +329,24 @@ def test_misspelled_bundle_key_is_a_typed_error(tmp_path, capsys):
     assert not (tmp_path / "b_q_opt.fir").exists()
 
 
-def test_misspelled_sweep_config_key_is_a_typed_error(tmp_path, capsys):
-    # a silently ignored 'n_value' would sweep the default 3..12 grid
-    cfgfile = tmp_path / "sweep.cfg"
-    out_csv = tmp_path / "sweep.csv"
-    cfgfile.write_text(f"n_value = 3..4\ngamma_values = 0.3\noutput_path = {out_csv}\n")
-    assert main(["ring-sweep", "--config", str(cfgfile), "--no-plot"]) == 1
-    assert_one_error_line(capsys, f"{cfgfile}:1:", "'n_value'", "n_values")
-    assert not out_csv.exists()
+@pytest.mark.parametrize(
+    "command, content",
+    [("graph", b"2 2\n1 0\n0 \xff\n"), ("solve", b"\xffring = 3\n")],
+)
+def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.in"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 1
+    assert_one_error_line(capsys, f"cannot read {path}:", "'utf-8' codec")
+
+
+def test_repeated_bundle_key_is_a_typed_error(tmp_path, capsys):
+    # solving at the second gamma would drop the first without a word
+    bundle = tmp_path / "b.bundle"
+    bundle.write_text("ring = 4\ngamma = 0.2\ngamma = 0.4\nhorizon_q = 4\n")
+    assert main(["solve", str(bundle)]) == 1
+    assert_one_error_line(capsys, f"{bundle}:3:", "repeated key 'gamma'")
+    assert not (tmp_path / "b_q_opt.fir").exists()
 
 
 def test_out_dir_that_is_a_file_is_a_typed_error(tmp_path, capsys):

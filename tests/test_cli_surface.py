@@ -17,7 +17,6 @@ OPTIONS = {
     ("ring-sweep", "--gamma"),
     ("ring-sweep", "--horizon-q"),
     ("ring-sweep", "--out"),
-    ("ring-sweep", "--config"),
     ("ring-sweep", "--no-plot"),
 }
 

@@ -4,9 +4,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relsyn import DomainError, FirSystem, InfoStructure, ring_plant
+from relsyn import DomainError, FirSystem, InfoStructure, RelsynError, ring_plant
 from relsyn import fileio
+
+#: The five readers, each called with a path only.
+READERS = {
+    "matrix": fileio.read_matrix,
+    "fir": fileio.read_fir,
+    "structure": fileio.read_structure,
+    "plant": fileio.read_plant,
+    "bundle": lambda path: fileio.read_bundle(path, ("ring", "gamma")),
+}
 
 
 class TestMatrixFormat:
@@ -40,7 +51,7 @@ class TestFirFormat:
 
     def test_header(self, tmp_path):
         path = tmp_path / "f.fir"
-        fileio.write_fir(path, FirSystem.zero(2, 3, 5))
+        fileio.write_fir(path, FirSystem(np.zeros((6, 2, 3))))
         assert path.read_text().splitlines()[0] == "2 3 5"
 
 
@@ -198,6 +209,59 @@ class TestBundleFormat:
         assert str(err.value) == (
             f"{bundle}:2: unknown key 'gama', expected one of ring, gamma, horizon_q"
         )
+
+
+class TestRepeatedNames:
+    """A name given twice is an error naming the file, its second line
+    and the name, never a silent overwrite."""
+
+    def test_repeated_bundle_key(self, tmp_path):
+        bundle = tmp_path / "prob.bundle"
+        bundle.write_text("ring = 4\ngamma = 0.2\n# later\ngamma = 0.4\n")
+        with pytest.raises(DomainError) as err:
+            fileio.read_bundle(bundle, TestBundleFormat.KEYS)
+        assert str(err.value) == f"{bundle}:4: repeated key 'gamma'"
+
+    def test_repeated_plant_block(self, tmp_path):
+        path = tmp_path / "p.plant"
+        path.write_text("A\n1 1\n0.5\nB1\n1 1\n1\nA\n1 1\n0.7\n")
+        with pytest.raises(DomainError) as err:
+            fileio.read_plant(path)
+        assert str(err.value) == f"{path}:7: repeated block 'A'"
+
+
+class TestUnreadableText:
+    @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+    def test_non_utf8_file_is_a_typed_error(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 2\n1 0\n0 \xff\n")
+        with pytest.raises(DomainError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+            reader(path)
+
+
+@pytest.fixture(scope="class")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+class TestFuzz:
+    """Random token strings, drawn with a byte that is not UTF-8, end in
+    a value or a RelsynError, never in another exception.  Each example
+    goes through all five readers, so that hypothesis's per-example cost
+    is paid once."""
+
+    TOKENS = "0 1 2 3 -1 0.5 -2.5 1e400 inf -inf nan x A B1 B2 C1 D12 C2 ring gamma = #".split()
+    PIECES = [tok.encode() for tok in TOKENS] + [b"\xff", b"\n", b"\r\n", b""]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pieces=st.lists(st.sampled_from(PIECES), max_size=24))
+    def test_only_relsyn_errors_escape(self, fuzz_path, pieces):
+        fuzz_path.write_bytes(b" ".join(pieces))
+        for reader in READERS.values():
+            try:
+                reader(fuzz_path)
+            except RelsynError:
+                pass
 
 
 class TestWriters:

@@ -13,16 +13,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "relsyn"
 #: (module, function, parameter) for each parameter with a default;
 #: methods are named Class.method.
 DEFAULTED = {
-    ("bench", "run_ring_sweep", "render"),
     ("cli", "main", "argv"),
     ("errors", "DecompositionError.__init__", "tap"),
     ("errors", "StructureViolationError.__init__", "certificate"),
     ("fileio", "number", "kind"),
     ("fileio", "plant_from_blocks", "c2"),
     ("lti", "fir_compose", "horizon"),
-    ("lti", "FirSystem.zero", "horizon"),
-    ("solver", "build_ring_problem", "horizon_q"),
-    ("solver", "solve_ring_circulant", "horizon_q"),
     ("structure", "ConstraintSystem.satisfied_by", "tol"),
 }
 

@@ -250,7 +250,7 @@ class TestRecovery:
 
     def test_zero_map(self):
         ms = validate_c2(FIVE_STATE)
-        K = recover_controller(FirSystem.zero(2, 5, 3), ms)
+        K = recover_controller(FirSystem(np.zeros((4, 2, 5))), ms)
         assert np.abs(K.taps).max() == 0.0
 
     def test_random_roundtrip(self, rng):

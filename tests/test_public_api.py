@@ -20,13 +20,12 @@ EXPORTS = set(
     WellPosednessError YoulaData build_ring_problem build_tilde_plant
     check_relative circulant_reduce close_loop combined_r_structure
     compile_constraints delay_structure_from_adjacency drop_invariant_subspace
-    fir_add fir_compose fir_lft fir_sub h2_norm_fir h2_norm_lyap
+    fir_add fir_compose fir_lft h2_norm_fir h2_norm_lyap
     is_internally_stable is_qi laplacian_rnom least_squares lft
     make_t_systems markov membership nominal_verdicts parallel q_from_r
     qi_certificate r_from_q recover_controller recovered_r_fir
-    recovered_structure ring_adjacency ring_delay_structure ring_measurement
-    ring_plant series solve solve_ring_circulant subtract transfer_pattern
-    validate_c2
+    recovered_structure ring_adjacency ring_delay_structure ring_plant
+    series solve solve_ring_circulant transfer_pattern validate_c2
     """.split()
 )
 
@@ -34,15 +33,15 @@ EXPORTS = set(
 #: is not an exception.
 MEMBERS = {
     "ConstraintSystem": "cols constraints horizon rows satisfied_by var_index",
-    "FirSystem": "horizon identity n_inputs n_outputs padded tap taps "
-    "to_statespace truncated zero",
+    "FirSystem": "horizon n_inputs n_outputs padded tap taps to_statespace "
+    "truncated",
     "InfoStructure": "cols from_sparsity min_delay rows unrestricted",
     "LstsqResult": "gradient_norm rank rank_deficient residual x",
     "MeasurementStructure": "adjacency c2 components disagreement_basis "
     "indicators n_components n_measurements n_states recovery_map",
     "Plant": "A B1 B2 C1 C2 D12 n_ctrl n_dist n_meas n_perf n_states "
     "pxu pxw pyu pzu pzw",
-    "StateSpace": "A B C D is_schur n_inputs n_outputs n_states poles "
+    "StateSpace": "A B C D is_schur n_inputs n_outputs n_states "
     "spectral_radius static_gain",
     "SynthesisProblem": "horizon_obj horizon_q ms structure yd",
     "SynthesisResult": "constraint_violation k_opt objective q_opt "

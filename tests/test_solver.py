@@ -263,7 +263,7 @@ class TestRingCirculant:
 
     def test_gamma_out_of_range(self):
         with pytest.raises(DomainError):
-            solve_ring_circulant(3, 1.5)
+            solve_ring_circulant(3, 1.5, 8)
 
     def test_slow_tail_needs_no_objective_horizon(self):
         # the n = 45 tail would need 32055 taps to fall below 1e-12 of J;

@@ -161,7 +161,7 @@ class TestMakeTSystems:
 class TestParameterMaps:
     def test_zero_parameter_returns_nominal(self):
         _, _, _, yd = ring_setup()
-        R = r_from_q(yd, FirSystem.zero(3, 3))
+        R = r_from_q(yd, FirSystem(np.zeros((3, 3))))
         assert np.abs(markov(R, 10).taps - markov(yd.r_nom, 10).taps).max() < 1e-14
 
     def test_relative_parameter_gives_relative_map(self, rng):
