@@ -300,6 +300,8 @@ def simulate_closed_loop(
     """
     if steps < 1:
         raise DomainError("steps must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if K.n_inputs != plant.n_meas:
         raise DomainError(
             f"controller consumes {K.n_inputs} measurements, plant has {plant.n_meas}"

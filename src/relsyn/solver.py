@@ -12,17 +12,23 @@ optimal Q is invariant under it, and the orbit column map keeps only the
 averages of the free directions over the group, one per independent
 direction.  `solve` searches for the group on every problem; on the
 ring it finds the dihedral group (shift and reflection), which leaves
-the floor(n/2) symmetric circulant directions.  One kernel serves every
-column map: A'A, A'b and ||b||^2 are lags of the joint system
-[direction responses | vec T1], exact over the infinite horizon, G is
-gathered from them in one indexing step, and the Gram system is solved
-by Cholesky, falling back to QR with column pivoting when G is singular
-to working precision.  When the plant is diagonal in the eigenbasis V of
-a symmetric static nominal (consensus plants on any graph, the ring
-among them), the table comes from batched 3-state Stein solves over the
-mode pairs (p, q) that some direction V' dirs V or the target touches,
-and K + 1 matrix products; any other plant takes one Stein solve on the
-O(n^2)-state joint system of the pair responses T2 e_i e_j' T3."""
+the floor(n/2) symmetric circulant directions.  A'A, A'b and ||b||^2 are
+lags of the joint system [direction responses | vec T1], exact over the
+infinite horizon.  When the plant is diagonal in the eigenbasis V of a
+symmetric static nominal (consensus plants on any graph, the ring among
+them), they come factored, from batched 3-state Stein solves over the
+mode pairs (p, q) that some direction V' dirs V or the target touches.
+If the directions then map one to one onto those mode pairs (distinct
+Laplacian eigenvalues, as on paths and random graphs), G is never
+formed: past the largest first tap D of any direction every direction
+is live, so each mode pair's later taps are eliminated by a small
+Toeplitz Schur complement, and only the Gram matrix of the taps below D
+is factored.  Every other problem takes the dense route: G is gathered
+from the lag table in one indexing step (any plant off the eigenbasis
+gets that table from one Stein solve on the O(n^2)-state joint system
+of the pair responses T2 e_i e_j' T3), and the Gram system is solved by
+Cholesky, falling back to QR with column pivoting when G is singular to
+working precision."""
 
 from __future__ import annotations
 
@@ -472,7 +478,7 @@ def _orbit_columns(prob: SynthesisProblem, generators) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the Gram kernel shared by every column map
+# the dense Gram kernel
 # ---------------------------------------------------------------------------
 
 
@@ -578,32 +584,43 @@ def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisRes
     """Minimize the H2 norm over the column map (dirs, inputs, delays).
 
     Column a moves Q along the l x n direction dirs[inputs[a]], delayed
-    by delays[a] taps.  The lag table of [direction responses | vec T1]
-    comes from :func:`_modal_lags` when the plant and a symmetric static
-    nominal share one eigenbasis (consensus plants on any graph): batched
-    3-state Stein solves, then K + 1 matrix products, K the largest
-    column delay.  Otherwise :func:`_stein_lags` solves one Stein equation
-    on the O(n^2)-state joint system.  Each (delay, input) pair names at
-    most one column, so Q's taps are the coefficients of each tap times
-    the stacked directions.
+    by delays[a] taps.  Each (delay, input) pair names at most one
+    column, so Q's taps are the coefficients of each tap times the
+    stacked directions.  When the plant and a symmetric static nominal
+    share one eigenbasis (consensus plants on any graph), the lags come
+    in the factored form (M, h) of :func:`_modal_factors`: batched
+    3-state Stein solves, K the largest column delay.
 
-    The Gram system G x = c of :func:`_gram_system` is solved by
-    :func:`_solve_gram`.  One product G x gives both the objective,
-    J^2 = ||b||^2 - 2 c'x + x'G x with ||b||^2 = L(0)[tgt, tgt], and the
-    optimality measure ||A'(A x - b)|| = ||G x - c||.  Q's taps are
-    checked against the indicators and the structure, and K is recovered
-    from them.
+    If the directions also map one to one onto the mode pairs they touch,
+    :func:`_split_solve` solves the Gram system without forming G: the
+    taps at which every direction is live are eliminated mode pair by
+    mode pair, and only the Gram matrix of the earlier (head) taps is
+    factored.  Every other problem, and every problem on which a gate of
+    :func:`_split_solve` fails, takes the dense Gram system G x = c of
+    :func:`_gram_system`, solved by :func:`_solve_gram`.  Its lag table
+    is :func:`_modal_table` of the factors or, outside the eigenbasis,
+    :func:`_stein_lags`: one Stein equation on the O(n^2)-state joint
+    system.
+
+    Both routes give J^2 = ||b||^2 - 2 c'x + x'G x, ||b||^2 = L(0)[tgt,
+    tgt], and the optimality measure ||A'(A x - b)|| = ||G x - c|| from
+    one product G x.  Q's taps are checked against the indicators and
+    the structure, and K is recovered from them.
     """
     yd = prob.yd
     K = int(delays.max(initial=0))
-    L = _modal_lags(yd, dirs, K)
-    if L is None:
-        L = _stein_lags(yd, dirs, K)
-    G, c = _gram_system(L, inputs, delays)
-    x, rank = _solve_gram(G, c)
-    Gx = G @ x
-    tgt = L.shape[1] - 1
-    resid_sq = float(L[0, tgt, tgt]) - 2.0 * float(c @ x) + float(x @ Gx)
+    factors = _modal_factors(yd, dirs, K)
+    split = None if factors is None else _split_solve(*factors, inputs, delays)
+    if split is None:
+        L = _stein_lags(yd, dirs, K) if factors is None else _modal_table(*factors)
+        G, c = _gram_system(L, inputs, delays)
+        x, rank = _solve_gram(G, c)
+        Gx = G @ x
+        b_sq = float(L[0, -1, -1])
+    else:
+        x, Gx, c, b_sq = split
+        rank = c.size
+    resid_sq = b_sq - 2.0 * float(c @ x) + float(x @ Gx)
     coef = np.zeros((prob.horizon_q + 1, len(dirs)))
     coef[delays, inputs] = x
     q_opt = FirSystem(np.tensordot(coef, dirs, axes=1))
@@ -618,6 +635,91 @@ def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisRes
         k_opt=_controller(prob, q_opt),
         rank_deficient=rank < c.size,
         yd=yd,
+    )
+
+
+def _split_solve(M: np.ndarray, h: np.ndarray, inputs, delays):
+    """(x, G x, c, ||b||^2) of the Gram system of :func:`_solve_columns`
+    from the modal factors (M, h) of :func:`_modal_factors`, without
+    forming G; None when the split does not apply.
+
+    Let Mn be M on its nonzero rows r (mode pairs) and T_r the symmetric
+    Toeplitz matrix of h00_r over taps 0..K.  The coefficients x_k of the
+    columns at tap k move the mode pairs by y_k = Mn x_k, so with E the
+    map from x to y, G = E' (+)_r T_r E, c = E' g with g_r(k) = -h10_r(k),
+    and ||b||^2 = sum_r h11_r(0).  Let D be the largest first tap of any
+    direction.  From tap D on every direction is live, so when Mn is
+    square and invertible y_k is free there, and each mode pair's tail
+    taps F = D..K are eliminated on their own, leaving on the head taps
+    H = 0..D-1 the D x D Schur complement S_r = T_HH - T_HF T_FF^-1 T_FH
+    and s_r = g_H - T_HF T_FF^-1 g_F (Kailath & Sayed, SIAM Review 1995,
+    on Toeplitz Schur complements).  The head Gram over the columns with
+    taps below D, sum_r M[r, a] S_r[k, j] M[r, b] for columns (a, k) and
+    (b, j), is assembled by one matrix product per head tap and solved by
+    :func:`_solve_gram`; the tail follows as y_F = T_FF^-1 (g_F - T_FH y_H)
+    and x_k = Mn^-1 y_k.  G x and c are taken in the lifted form
+    E'(T E x) and E' g.
+
+    None sends the problem to the dense route: Mn not square (repeated
+    eigenvalues, as on the ring, or directions that a horizon below the
+    largest delay cuts off), Mn singular to working precision (reciprocal
+    condition estimate below cols * eps), a T_FF not positive definite
+    (a Cholesky pivot squared below its size times eps times the largest
+    h00_r(0)), or a rank-deficient head Gram.
+    """
+    K = h.shape[0] - 1
+    m = M.shape[1]
+    eps = np.finfo(float).eps
+    rows = (np.abs(M) > _MODAL_TOL).any(axis=1)
+    first = np.full(m, K + 1)
+    np.minimum.at(first, inputs, delays)
+    D = int(first.max()) if m else K + 1
+    tail = delays >= D
+    if rows.sum() != m or D > K or tail.sum() != m * (K + 1 - D):
+        return None
+    Mn = M[rows]
+    lu, piv, info = scipy.linalg.lapack.dgetrf(Mn)
+    if info or not scipy.linalg.lapack.dgecon(lu, np.abs(Mn).sum(axis=0).max())[0] >= m * eps:
+        return None
+    h00, g = h[:, rows, 0, 0], -h[:, rows, 1, 0]  # (K + 1, m)
+    T = h00.T[:, np.abs(np.arange(K + 1)[:, None] - np.arange(K + 1))]
+    try:
+        chol = np.linalg.cholesky(T[:, D:, D:])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.diagonal(chol, axis1=1, axis2=2).min() ** 2 >= (K + 1 - D) * eps * h00[0].max():
+        return None
+    # U = chol^-1 [T_FH | g_F], so T_HF T_FF^-1 [T_FH | g_F] = U_H' U
+    U = np.linalg.solve(chol, np.concatenate([T[:, D:, :D], g.T[:, D:, None]], axis=2))
+    UH, Ug = U[:, :, :D], U[:, :, D:]
+    S = T[:, :D, :D] - UH.transpose(0, 2, 1) @ UH
+    s = g[:D].T - (UH.transpose(0, 2, 1) @ Ug)[:, :, 0]
+
+    live = np.zeros((D, m), dtype=bool)
+    live[delays[~tail], inputs[~tail]] = True
+    hd, hi = np.nonzero(live)  # the head columns (hi, hd), ordered by tap
+    cut = np.concatenate([[0], np.cumsum(live.sum(axis=1))])
+    Z = Mn[:, hi]  # column (a, k) of the head moves the mode pairs by Mn[:, a]
+    G = np.empty((hi.size, hi.size))
+    for k in range(D):
+        # block row k from the diagonal on; the blocks below it are transposes
+        a, b = cut[k], cut[k + 1]
+        G[a:b, a:] = Z[:, a:b].T @ (S[:, k, hd[a:]] * Z[:, a:])
+        G[b:, a:b] = G[a:b, b:].T
+    xh, rank = _solve_gram(G, (s.T @ Mn)[hd, hi])
+    if rank < hi.size:
+        return None
+    X = np.zeros((K + 1, m))  # X[k, a]: coefficient of column (a, k)
+    X[hd, hi] = xh
+    yH = (X[:D] @ Mn.T).T[:, :, None]
+    yF = np.linalg.solve(chol.transpose(0, 2, 1), Ug - UH @ yH)[:, :, 0]
+    X[D:] = scipy.linalg.lu_solve((lu, piv), yF, check_finite=False).T
+    TY = (T @ (X @ Mn.T).T[:, :, None])[:, :, 0]
+    return (
+        X[delays, inputs],
+        (TY.T @ Mn)[delays, inputs],
+        (g @ Mn)[delays, inputs],
+        float(h[0, :, 1, 1].sum()),
     )
 
 
@@ -648,6 +750,30 @@ def _modal_lags(yd: YoulaData, dirs, K: int):
     """The table of :func:`_stein_lags` from the eigenbasis of the
     nominal, or None when the plant is not diagonal in it.
 
+    The factors come from :func:`_modal_factors` and the table from
+    :func:`_modal_table`.
+    """
+    factors = _modal_factors(yd, dirs, K)
+    return None if factors is None else _modal_table(*factors)
+
+
+def _modal_table(M: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The lag table L(d) = [M 0; 0 1]' h(d) [M 0; 0 1] of the factors
+    (M, h), the 2 x 2 mode-pair lags h_r(d) summed over mode pairs r."""
+    K = h.shape[0] - 1
+    m = M.shape[1]
+    out = np.empty((K + 1, m + 1, m + 1))
+    out[:, :m, :m] = (M.T * h[:, None, :, 0, 0]) @ M
+    out[:, :m, m] = h[:, :, 0, 1] @ M
+    out[:, m, :m] = h[:, :, 1, 0] @ M
+    out[:, m, m] = h[:, :, 1, 1].sum(axis=1)
+    return out
+
+
+def _modal_factors(yd: YoulaData, dirs, K: int):
+    """(M, h): the lag table of :func:`_modal_lags` in factored form, or
+    None when the plant is not diagonal in the nominal's eigenbasis.
+
     With a symmetric static nominal D and V = eigh(D), suppose V'XV is
     diagonal for A + B2 D, B1, B2, each n-row block of C1 + D12 D and of
     D12, and the disagreement projector.  Then T1, T2 and T3p act on
@@ -663,7 +789,8 @@ def _modal_lags(yd: YoulaData, dirs, K: int):
     `_MODAL_TOL` are built: a circulant direction on the ring touches
     only the pairs inside the nominal's eigenspaces.  A mode on or
     outside the unit circle (marginal agreement modes) must carry no
-    state in any of the three maps; it then gets pole 0.
+    state in any of the three maps; it then gets pole 0.  h has shape
+    (K + 1, pairs, 2, 2), index 0 the basis input and 1 the target.
     """
     plant = yd.plant
     n = plant.n_states
@@ -726,13 +853,7 @@ def _modal_lags(yd: YoulaData, dirs, K: int):
     for d in range(K + 1):
         h[d] = B.transpose(0, 2, 1) @ AtdWB
         AtdWB = At @ AtdWB
-
-    out = np.empty((K + 1, m + 1, m + 1))
-    out[:, :m, :m] = (M.T * h[:, None, :, 0, 0]) @ M
-    out[:, :m, m] = h[:, :, 0, 1] @ M
-    out[:, m, :m] = h[:, :, 1, 0] @ M
-    out[:, m, m] = h[:, :, 1, 1].sum(axis=1)
-    return out
+    return M, h
 
 
 def _pair_responses(yd: YoulaData) -> StateSpace:

@@ -145,6 +145,16 @@ def test_simulate_cli(tmp_path, capsys):
     assert "analytic_J2=" in out
 
 
+def test_negative_simulate_seed_is_a_typed_error(tmp_path, capsys):
+    # numpy's generator rejects a negative seed with a bare ValueError
+    bundle = tmp_path / "ring.bundle"
+    bundle.write_text("ring = 3\ngamma = 0.5\nhorizon_q = 8\n")
+    assert main(["simulate", str(bundle), "--steps", "10", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "seed" in err
+
+
 def test_example_subcommands(capsys):
     assert main(["example", "motivating"]) == 0
     out = capsys.readouterr().out

@@ -209,7 +209,10 @@ def _gram_calls(monkeypatch, run):
 @pytest.mark.parametrize("case", ["general", "ring5", "ring8"])
 def test_gram_assembly_matches_reference(monkeypatch, rng, case):
     if case == "general":
-        prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
+        # distinct actuator gains keep the graph off the split route, which
+        # never assembles G (test_split_route_matches_reference)
+        C2 = rand_connected_c2(rng, 5, extra_edges=2)
+        prob = consensus_problem(C2, 0.2, 8, b2=actuator_gains(5))
         calls = _gram_calls(monkeypatch, lambda: solve(prob))
     else:
         n = int(case[4:])
@@ -220,6 +223,22 @@ def test_gram_assembly_matches_reference(monkeypatch, rng, case):
     G_ref, c_ref = reference_gram(L, inputs, delays)
     assert np.abs(G - G_ref).max() <= 1e-13 * np.abs(G_ref).max()
     assert np.abs(c - c_ref).max() <= 1e-13 * np.abs(c_ref).max()
+
+
+def test_split_route_matches_reference(rng):
+    # the split route's lifted G x and c against the entry-by-entry Gram
+    # of the lag table of the same column map
+    from relsyn.solver import _modal_factors, _modal_lags, _split_solve
+
+    prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
+    dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
+    K = int(delays.max())
+    x, Gx, c, b_sq = _split_solve(*_modal_factors(prob.yd, dirs, K), inputs, delays)
+    L = _modal_lags(prob.yd, dirs, K)
+    G_ref, c_ref = reference_gram(L, inputs, delays)
+    assert np.abs(Gx - G_ref @ x).max() <= 1e-13 * (np.abs(G_ref) @ np.abs(x)).max()
+    assert np.abs(c - c_ref).max() <= 1e-13 * np.abs(c_ref).max()
+    assert b_sq == pytest.approx(L[0, -1, -1], rel=1e-13)
 
 
 def test_pair_responses_match_fir_composition(rng):
