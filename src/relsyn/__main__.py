@@ -1,0 +1,8 @@
+"""``python -m relsyn``: the command-line interface of the ``relsyn`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +395,26 @@ def test_plot_script_path_that_is_a_directory_is_a_typed_error(tmp_path, capsys)
     assert main(argv + ["--out", str(out_csv), "--no-plot"]) == 1
     assert_one_error_line(capsys, str(tmp_path / "d" / "x_plot.py"))
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "n, horizon_q, array",
+    [(4, 100_000_000, "column map"), (6, 20_000, "dense Gram matrix")],
+)
+def test_oversized_horizon_is_a_typed_error(tmp_path, capsys, n, horizon_q, array):
+    # numpy would fail to allocate 11.9 GiB of lag factors, or the 26.8 GiB
+    # index gather of the Gram matrix, with a traceback
+    bundle = tmp_path / "big.bundle"
+    bundle.write_text(f"ring = {n}\ngamma = 0.3\nhorizon_q = {horizon_q}\n")
+    assert main(["solve", str(bundle)]) == 1
+    assert_one_error_line(capsys, array, "GiB", "horizon_q")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "relsyn", "qi", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: relsyn qi")

@@ -130,7 +130,8 @@ def split_problem(C2, gamma, horizon_q):
 
 
 def unreduced(prob):
-    return _solve_columns(prob, *_free_columns(prob.structure, prob.ms.indicators, prob.horizon_q))
+    free = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
+    return _solve_columns(prob, (), *free)
 
 
 class TestAutomorphisms:
