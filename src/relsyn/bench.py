@@ -47,13 +47,8 @@ OVERFLOW_GUARD = 1e9
 _CHUNK_STEPS = 4096
 
 #: Entries of the simulation's lift [P Gamma] (32 MB) above which blocks
-#: get shorter than their span, the larger of the controller's T + 1 taps
-#: and `_LIFT_MIN_STEPS`.
+#: get shorter than the controller's T + 1 taps.
 _LIFT_DOUBLES = 1 << 22
-
-#: Steps that a lift block spans at least, within `_LIFT_DOUBLES`, so that
-#: a controller with few taps does not run the block loop once per step.
-_LIFT_MIN_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +282,8 @@ def simulate_closed_loop(
     feedthrough, so the loop is well posed).  With M_0 = A + B2 K_0 C2 and
     M_k = B2 K_k C2, the loop is x[t+1] = sum_k M_k x[t-k] + B1 w[t], so
     the window s of the last L = T + 1 states gives the next B states at
-    once, P s + Gamma w_block (see `_lift`).  B is the larger of L and
-    `_LIFT_MIN_STEPS`, or less where P and Gamma would pass
-    `_LIFT_DOUBLES` entries.  This is the same recursion
+    once, P s + Gamma w_block (see `_lift`).  B is L, or less where P and
+    Gamma would pass `_LIFT_DOUBLES` entries.  This is the same recursion
     with its sums regrouped: P costs L n^2 flops per step, as the T + 1
     products of the plain recursion do, but the Python loop runs once
     per B steps.  The noise comes from one generator in time order, so
@@ -317,9 +311,7 @@ def simulate_closed_loop(
     rng = np.random.default_rng(seed)
     n, q = plant.n_states, plant.n_dist
     L = K.horizon + 1
-    # P and Gamma hold B n (L n + B q) <= B n span (n + q) entries
-    span = max(L, _LIFT_MIN_STEPS)
-    B = max(1, min(span, _LIFT_DOUBLES // (span * n * (n + q))))
+    B = max(1, min(L, _LIFT_DOUBLES // (L * n * (n + q))))
     F = K.taps @ plant.C2  # F[k] = K_k C2, so u[t] = sum_k F[k] x[t-k]
     P, gamma = _lift(plant, F, B)
     B = P.shape[0] // n
@@ -397,8 +389,8 @@ def _overlap_save(F: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:
     """P (Bn x Ln) and Gamma (Bn x Bq) of the lifted loop: the states
     x[t+1 .. t+B] in terms of the window x[t-T .. t] and the noise
-    w[t .. t+B-1], all oldest first.  Found by running the recursion
-    B steps on the identity.  The block ends before the first
+    w[t .. t+B-1], all oldest first, for B <= L.  Found by running the
+    recursion B steps on the identity.  The block ends before the first
     step whose rows overflow: past it a zero state times an infinite
     entry would read as divergence."""
     L, n, q = F.shape[0], plant.n_states, plant.n_dist
@@ -410,13 +402,10 @@ def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:
     out = np.zeros((B, n, cols))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(B):
-            # x[t+1+i] reads window states i..T (identity columns), none
-            # once i >= L, and the states computed before it, the last L
-            # at most
-            w = max(L - i, 0) * n
-            out[i, :, ln - w : ln] = m_row[:, :w]
-            lo = max(i - L, 0)
-            out[i] += m_row[:, w:] @ out[lo:i].reshape((i - lo) * n, cols)
+            # x[t+1+i] reads window states i..T (identity columns) and the
+            # i states computed before it
+            out[i, :, i * n : ln] = m_row[:, : ln - i * n]
+            out[i] += m_row[:, ln - i * n :] @ out[:i].reshape(i * n, cols)
             out[i, :, ln + i * q : ln + (i + 1) * q] += plant.B1
             if i and not np.isfinite(out[i]).all():
                 B = i

@@ -72,23 +72,6 @@ _SNAP_TOL = 1e-9
 #: of magnitude between 1/n and n.
 _MODAL_TOL = 1e-12
 
-#: Bytes that one array of a solve may take: :func:`_check_bytes` refuses
-#: a larger one before it is allocated.
-_BYTE_BUDGET = 1 << 30
-
-
-def _check_bytes(name: str, shape) -> None:
-    """Raise :class:`DomainError`, naming the array and its size, when an
-    array of 8-byte entries of this shape would exceed `_BYTE_BUDGET`."""
-    shape = tuple(int(d) for d in shape)
-    size = 8 * math.prod(shape)
-    if size > _BYTE_BUDGET:
-        raise DomainError(
-            f"the {name} ({' x '.join(map(str, shape))}) would take "
-            f"{size / 2**30:.1f} GiB, above the {_BYTE_BUDGET / 2**30:g} GiB "
-            "that one array of a solve may take; lower horizon_q"
-        )
-
 
 # ---------------------------------------------------------------------------
 # problem and result records
@@ -164,8 +147,8 @@ class SynthesisResult:
     ``horizon_q + 2n`` taps (n states): R = Rnom - F(N, q_opt) is the
     state-feedback map, N = F(Rnom, Pxu), and Z the recovery map of the
     measurement structure.  R's taps are
-    ``recovered_r_fir(yd, q_opt, k_opt.horizon)`` up to roundoff, and
-    k_opt C2 = R holds on those taps only, not beyond them.
+    ``recovered_r_fir(yd, q_opt, k_opt.horizon)``, and k_opt C2 = R
+    holds on those taps only, not beyond them.
     """
 
     q_opt: FirSystem
@@ -259,7 +242,6 @@ def _free_pairs(structure: InfoStructure, indicators, horizon: int) -> tuple:
 def _taps_from(first, horizon: int) -> tuple:
     """(inputs, delays) of a column map whose direction a has every tap
     from first[a] to `horizon`, ordered by tap, then by direction."""
-    _check_bytes("column map", (np.maximum(horizon + 1 - np.asarray(first), 0).sum(),))
     delays, inputs = np.nonzero(np.arange(horizon + 1)[:, None] >= np.asarray(first))
     return inputs, delays
 
@@ -515,7 +497,6 @@ def _gram_system(L: np.ndarray, inputs, delays):
     """
     K = L.shape[0] - 1
     m = tgt = L.shape[1] - 1
-    _check_bytes("dense Gram matrix and its index gather", (inputs.size, inputs.size))
     S = np.concatenate([L[:0:-1, :m, :m].transpose(0, 2, 1), L[:, :m, :m]]).reshape(-1)
     rows = ((K - delays) * m + inputs) * m
     cols = delays * m * m + inputs
@@ -563,7 +544,6 @@ def _lags(basis: StateSpace, target: StateSpace, K: int) -> np.ndarray:
     D = np.hstack([basis.D, target.D])
     W = scipy.linalg.solve_discrete_lyapunov(A.T, C.T @ C)
     W = 0.5 * (W + W.T)
-    _check_bytes("lag table", (K + 1, D.shape[1], D.shape[1]))
     out = np.empty((K + 1, D.shape[1], D.shape[1]))
     out[0] = D.T @ D + B.T @ W @ B
     AdB, AtdWB = B, W @ B  # A^(d-1) B and (A')^d W B
@@ -593,15 +573,19 @@ def solve(prob: SynthesisProblem) -> SynthesisResult:
     directions over the group, and a problem without symmetry keeps them
     as they are.  :func:`_solve_columns` minimizes over that column map
     and recovers the output-feedback controller from the optimal
-    state-feedback map.
+    state-feedback map.  An array that does not fit in memory (the lag
+    tables and the Gram system grow with `horizon_q`) raises
+    :class:`DomainError` with numpy's size and shape.
     """
-    generators = _automorphisms(prob)
-    return _solve_columns(prob, generators, *_orbit_columns(prob, generators))
+    try:
+        return _solve_columns(prob, *_orbit_columns(prob, _automorphisms(prob)))
+    except MemoryError as exc:
+        raise DomainError(
+            f"{str(exc) or 'out of memory'}; lower horizon_q (now {prob.horizon_q})"
+        ) from exc
 
 
-def _solve_columns(
-    prob: SynthesisProblem, generators, dirs, inputs, delays
-) -> SynthesisResult:
+def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisResult:
     """Minimize the H2 norm over the column map (dirs, inputs, delays).
 
     Column a moves Q along the l x n direction dirs[inputs[a]], delayed
@@ -626,13 +610,9 @@ def _solve_columns(
     Both routes give J^2 = ||b||^2 - 2 c'x + x'G x, ||b||^2 = L(0)[tgt,
     tgt], and the optimality measure ||A'(A x - b)|| = ||G x - c|| from
     one product G x.  Q's taps are checked against the indicators and
-    the structure, and K is recovered from them (:func:`_controller`);
-    the node permutations `generators` must fix every Q of the column
-    map, as they do the orbit map of the group they span (an empty tuple
-    for any column map).
+    the structure, and K is recovered from them (:func:`_controller`).
     """
     yd = prob.yd
-    _check_bytes("Q taps", (prob.horizon_q + 1, *dirs.shape[1:]))
     K = int(delays.max(initial=0))
     factors = _modal_factors(yd, dirs, K)
     split = None if factors is None else _split_solve(*factors, inputs, delays)
@@ -657,7 +637,7 @@ def _solve_columns(
         objective=math.sqrt(max(resid_sq, 0.0)),
         residual_gradient=float(np.linalg.norm(Gx - c)),
         constraint_violation=violation,
-        k_opt=_controller(prob, q_opt, generators),
+        k_opt=_controller(prob, q_opt),
         rank_deficient=rank < c.size,
         yd=yd,
     )
@@ -706,7 +686,6 @@ def _split_solve(M: np.ndarray, h: np.ndarray, inputs, delays):
     lu, piv, info = scipy.linalg.lapack.dgetrf(Mn)
     if info or not scipy.linalg.lapack.dgecon(lu, np.abs(Mn).sum(axis=0).max())[0] >= m * eps:
         return None
-    _check_bytes("Toeplitz blocks", (m, K + 1, K + 1))
     h00, g = h[:, rows, 0, 0], -h[:, rows, 1, 0]  # (K + 1, m)
     T = h00.T[:, np.abs(np.arange(K + 1)[:, None] - np.arange(K + 1))]
     try:
@@ -788,7 +767,6 @@ def _modal_table(M: np.ndarray, h: np.ndarray) -> np.ndarray:
     (M, h), the 2 x 2 mode-pair lags h_r(d) summed over mode pairs r."""
     K = h.shape[0] - 1
     m = M.shape[1]
-    _check_bytes("lag table", (K + 1, m + 1, m + 1))
     out = np.empty((K + 1, m + 1, m + 1))
     out[:, :m, :m] = (M.T * h[:, None, :, 0, 0]) @ M
     out[:, :m, m] = h[:, :, 0, 1] @ M
@@ -875,7 +853,6 @@ def _modal_factors(yd: YoulaData, dirs, K: int):
     W = np.linalg.solve(np.eye(9) - kron, (C.transpose(0, 2, 1) @ C).reshape(N, 9, 1))
     W = W.reshape(N, 3, 3)
     W = 0.5 * (W + W.transpose(0, 2, 1))
-    _check_bytes("lag factors", (K + 1, N, 2, 2))
     h = np.empty((K + 1, N, 2, 2))
     AtdWB = W @ B
     for d in range(K + 1):
@@ -1019,87 +996,51 @@ def combined_r_structure(structure: InfoStructure, yd: YoulaData) -> InfoStructu
 
 
 def recovered_r_fir(yd: YoulaData, q: FirSystem, horizon: int) -> FirSystem:
-    """Taps 0..horizon of R = Rnom - F(F(Rnom, Pxu), Q).
+    """Taps 0..horizon of R = Rnom - F(N, Q), N = F(Rnom, Pxu), from the
+    internal-model loop.
 
-    They come from the internal-model loop of :func:`_r_taps`, driven by
-    every node's impulse.  The state-space realization of R may carry
-    unstable hidden modes, so its Markov parameters are ill conditioned
-    at long horizons; the loop runs on Q's taps and the realization of
-    the nominal loop N = F(Rnom, Pxu) only, and stays accurate.  `q`
-    needs no padding: its taps past its own horizon are zeros, and
-    padding it changes no bit.
+    F(N, Q) = Q (I - N Q)^-1 maps e to u in the loop u = Q v, v = e + N u.
+    On N's realization (xi+ = A xi + B u, v = C xi + e; N has no
+    feedthrough) each tap t takes v_t = C xi_t (plus the impulse e = I at
+    t = 0), u_t as one product of Q's stacked taps with the newest-first
+    window v_t, v_(t-1), ..., and xi <- A xi + B u_t; u_t is tap t of
+    F(N, Q).  A tap costs O(T l n^2 + ns^2 n) for T taps of Q and ns
+    states of N.  The state-space realization of R may carry unstable
+    hidden modes, so its Markov parameters are ill conditioned at long
+    horizons; the loop runs on Q's taps and N's realization only, and
+    stays accurate.  `q` needs no padding: its trailing zero taps are
+    dropped first, so padding it changes no bit.
     """
+    N = yd.nominal_loop
     n, l = yd.plant.n_states, yd.plant.n_ctrl
     if (q.n_outputs, q.n_inputs) != (l, n):
         raise DimensionError(f"Q is {q.n_outputs}x{q.n_inputs}, expected {l}x{n}")
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
-    return FirSystem(_r_taps(yd, q.taps, horizon, ()))
-
-
-def _r_taps(yd: YoulaData, q: np.ndarray, horizon: int, generators) -> np.ndarray:
-    """Taps 0..horizon of R = Rnom - F(N, Q), N = F(Rnom, Pxu), from one
-    internal-model loop per node orbit.
-
-    F(N, Q) = Q (I - N Q)^-1 maps e to u in the loop u = Q v, v = e + N u.
-    On N's realization (xi+ = A xi + B u, v = C xi + e; N has no
-    feedthrough) each tap t takes v_t = C xi_t (plus the impulse at
-    t = 0), u_t as one product of Q's stacked taps with the newest-first
-    window v_t, v_(t-1), ..., and xi <- A xi + B u_t; under the impulse
-    e_j, u_t is column j of tap t.  A tap costs O(T l n c + ns^2 c) for
-    T taps of Q, c driven columns and ns states of N.
-
-    When the node permutations `generators` fix N and Q, column g j of
-    F(N, Q) is column j with its rows permuted, so only the smallest node
-    of each node orbit is driven (c = 1 on the ring), and every entry
-    (i, j) is copied from the first entry of its entry orbit, in
-    row-major order, that lies in a driven column.  The copy depends on
-    the group alone, not on its generators, and makes R exactly
-    invariant.  Q's trailing zero taps are dropped first, so padding Q
-    changes no bit.
-    """
-    N = yd.nominal_loop
-    n = N.n_outputs
-    l = q.shape[1]
-    T = int(np.flatnonzero(np.abs(q).max(axis=(1, 2))).max(initial=0)) + 1
-    q_row = q[:T].transpose(1, 0, 2).reshape(l, T * n)
-    driven = np.flatnonzero(_orbits(generators, n) == np.arange(n))
-    c = driven.size
-    _check_bytes("loop window", (horizon + T, n, c))
-    _check_bytes("R taps", (horizon + 1, l, n))
+    T = int(np.flatnonzero(np.abs(q.taps).max(axis=(1, 2))).max(initial=0)) + 1
+    q_row = q.taps[:T].transpose(1, 0, 2).reshape(l, T * n)
     # window[horizon - t] = v_t, then T - 1 blocks of zero history, so the
     # taps that u_t sums over are one contiguous, newest-first slice
-    window = np.zeros((horizon + T, n, c))
-    window[horizon, driven, np.arange(c)] = 1.0  # v_0 = e, since xi_0 = 0
-    flat = window.reshape(-1, c)
+    window = np.zeros((horizon + T, n, n))
+    window[horizon] = np.eye(n)  # v_0 = e, since xi_0 = 0
+    flat = window.reshape(-1, n)
     ns = N.n_states
     AB = np.hstack([N.A, N.B])
-    X = np.zeros((horizon + 1, ns + l, c))  # X[t] = [xi_t; u_t]
+    X = np.zeros((horizon + 1, ns + l, n))  # X[t] = [xi_t; u_t]
     for t in range(horizon + 1):
         s = horizon - t
         np.matmul(q_row, flat[s * n : (s + T) * n], out=X[t, ns:])
         if s:
             np.matmul(AB, X[t], out=X[t + 1, :ns])
             np.matmul(N.C, X[t + 1, :ns], out=window[s - 1])
-    S = X[:, ns:]
-    if generators:
-        col = np.full(n, -1)
-        col[driven] = np.arange(c)
-        i, j = np.divmod(np.arange(n * n), n)
-        orbit = _entry_orbits(generators, n).reshape(-1)
-        inside = np.flatnonzero(col[j] >= 0)
-        # every entry orbit meets a driven column, so all labels occur
-        src = inside[np.unique(orbit[inside], return_index=True)[1]][orbit]
-        S = S.reshape(horizon + 1, n * c)[:, i[src] * c + col[j[src]]].reshape(-1, n, n)
-    return markov(yd.r_nom, horizon).taps - S
+    return FirSystem(markov(yd.r_nom, horizon).taps - X[:, ns:])
 
 
-def _controller(prob: SynthesisProblem, q: FirSystem, generators) -> FirSystem:
+def _controller(prob: SynthesisProblem, q: FirSystem) -> FirSystem:
     """Taps of K = R Z on the controller window, R = Rnom - F(N, Q).
 
-    R's taps come from :func:`_r_taps`, one internal-model loop per node
-    orbit of the group that `generators` span, which fixes Q.  Z is the
-    recovery map (:attr:`~relsyn.measurement.MeasurementStructure.recovery_map`),
+    R's taps come from the internal-model loop of :func:`recovered_r_fir`.
+    Z is the recovery map (:attr:`~relsyn.measurement.MeasurementStructure.recovery_map`),
     so K C2 = R wherever R is relative; Q was checked relative by the
     solve and Rnom by :func:`~relsyn.youla.make_t_systems`, and Z drops
     the roundoff of R along the indicators.  Roundoff below K's
@@ -1111,7 +1052,7 @@ def _controller(prob: SynthesisProblem, q: FirSystem, generators) -> FirSystem:
     # recovered FIR controller keeps a short structural window on which
     # the tap match k_opt C2 = R is well conditioned.
     horizon = prob.horizon_q + 2 * yd.plant.n_states
-    taps = _r_taps(yd, q.taps, horizon, generators) @ ms.recovery_map
+    taps = recovered_r_fir(yd, q, horizon).taps @ ms.recovery_map
     bound = recovered_structure(combined_r_structure(prob.structure, yd), ms)
     ks = np.arange(horizon + 1)[:, None, None]
     taps[(ks < bound.min_delay[None, :, :]) & (np.abs(taps) <= _SNAP_TOL)] = 0.0

@@ -1,5 +1,8 @@
 """Shared generators for randomized property tests."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,27 @@ def brute_force_objective(prob) -> float:
     t = -F1.taps.reshape(-1)
     x = np.linalg.solve(G.T @ G, G.T @ t)
     return float(np.linalg.norm(G @ x - t))
+
+
+@contextlib.contextmanager
+def address_space(headroom: int):
+    """Let the process map at most `headroom` more bytes while the block
+    runs (Linux only), so that an oversized allocation fails at once,
+    whatever memory the host has, instead of filling it."""
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS bounds the address space on Linux only")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    limit = mapped + headroom
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture

@@ -136,7 +136,7 @@ def test_symmetric_stein_route_matches_unreduced_and_dense_qr():
     assert _modal_lags(prob.yd, free[0], 1) is None
     assert [g.tolist() for g in _automorphisms(prob)] == [[5, 4, 3, 2, 1, 0]]
     res = solve(prob)
-    assert res.objective == pytest.approx(_solve_columns(prob, (), *free).objective, rel=1e-12)
+    assert res.objective == pytest.approx(_solve_columns(prob, *free).objective, rel=1e-12)
     _assert_agrees(res, *dense_general(prob))
 
 

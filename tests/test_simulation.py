@@ -114,46 +114,6 @@ class TestOracle:
             assert np.abs(arr).max() == 0.0
 
 
-class TestShortControllers:
-    """Controllers with fewer taps than `_LIFT_MIN_STEPS` get lift blocks
-    longer than their taps, so the block loop does not run once per step."""
-
-    @staticmethod
-    def _blocks(monkeypatch):
-        blocks = []
-        real = bench._lift
-
-        def spy(plant, F, B):
-            P, gamma = real(plant, F, B)
-            blocks.append(P.shape[0] // plant.n_states)
-            return P, gamma
-
-        monkeypatch.setattr(bench, "_lift", spy)
-        return blocks
-
-    @pytest.mark.parametrize("taps", [1, 2, 3])
-    def test_first_taps_of_the_ring_loop(self, ring8, monkeypatch, taps):
-        plant, K = ring8
-        blocks = self._blocks(monkeypatch)
-        rec = assert_agrees(plant, FirSystem(K.taps[:taps]), 777, seed=3)
-        assert not rec.diverged
-        assert blocks == [bench._LIFT_MIN_STEPS] and blocks[0] > taps
-
-    def test_diverging_two_tap_loop(self, monkeypatch):
-        plant = ring_plant(3, 0.5)
-        K = FirSystem(np.stack([3.0 * plant.C2.T, -1.0 * plant.C2.T]))
-        blocks = self._blocks(monkeypatch)
-        rec = assert_agrees(plant, K, 2000, seed=0)
-        assert rec.diverged and 2 < rec.steps_completed < 2000
-        assert blocks == [bench._LIFT_MIN_STEPS]
-
-    def test_ring_sweep_replica_keeps_its_block(self, ring8, monkeypatch):
-        plant, K = ring8
-        blocks = self._blocks(monkeypatch)
-        simulate_closed_loop(plant, K, validate_c2(plant.C2), 100, seed=1)
-        assert blocks == [K.horizon + 1] == [49]
-
-
 class TestDivergence:
     def test_positive_feedback(self):
         plant = ring_plant(3, 0.5)

@@ -130,8 +130,7 @@ def split_problem(C2, gamma, horizon_q):
 
 
 def unreduced(prob):
-    free = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
-    return _solve_columns(prob, (), *free)
+    return _solve_columns(prob, *_free_columns(prob.structure, prob.ms.indicators, prob.horizon_q))
 
 
 class TestAutomorphisms:
