@@ -50,6 +50,10 @@ _CHUNK_STEPS = 4096
 #: get shorter than the controller's T + 1 taps.
 _LIFT_DOUBLES = 1 << 22
 
+#: Off-diagonal part, relative to the largest entry of its group, that a
+#: basis may drop to run the simulated loop as scalar modes (`_modes`).
+_MODE_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # the four-subsystem motivating example
@@ -279,24 +283,41 @@ def simulate_closed_loop(
     turns the disturbance off).
 
     The controller's tap 0 acts on the current measurement (y has no
-    feedthrough, so the loop is well posed).  With M_0 = A + B2 K_0 C2 and
-    M_k = B2 K_k C2, the loop is x[t+1] = sum_k M_k x[t-k] + B1 w[t], so
-    the window s of the last L = T + 1 states gives the next B states at
-    once, P s + Gamma w_block (see `_lift`).  B is L, or less where P and
-    Gamma would pass `_LIFT_DOUBLES` entries.  This is the same recursion
-    with its sums regrouped: P costs L n^2 flops per step, as the T + 1
-    products of the plain recursion do, but the Python loop runs once
-    per B steps.  The noise comes from one generator in time order, so
-    chunked draws give the same stream as per-step ones.  Noise, outputs
-    and the overflow guard go in chunks of about `_CHUNK_STEPS` steps;
-    the run stops at the first state above `OVERFLOW_GUARD` or not
-    finite, and stores that state.  The controller output
-    u[t] = sum_k F_k x[t-k] is one FIR filter over the chunk's states,
-    applied by overlap-save (`_overlap_save`).  Its rounding error is
-    about eps times the largest state of the surrounding FFT segment, not
-    of u[t]'s own window: u and z match the tap sum to that, so in the
+    feedthrough, so the loop is well posed).  With F_k = K_k C2,
+    M_0 = A + B2 F_0 and M_k = B2 F_k, the loop is
+    x[t+1] = sum_k M_k x[t-k] + B1 w[t] and u[t] = sum_k F_k x[t-k].
+
+    The route is read off the loop.  When one orthogonal V makes A, B1,
+    B2 and every F_k diagonal (`_modes`; a node-shaped plant whose loop
+    is symmetric in a shared basis, as every ring loop is), the loop is
+    n scalar recursions on the modes V' x; otherwise it is one n-state
+    block in node coordinates.  On both routes the window s of a mode's
+    last L = T + 1 states gives its next B states at once,
+    P s + Gamma w_block (see `_lift`), one batched product per block
+    over the modes.  B is L, or less where P and Gamma would pass
+    `_LIFT_DOUBLES` entries.  This is the same recursion with its sums
+    regrouped: P costs L n^2 flops per step on the block route, as the
+    T + 1 products of the plain recursion do, and n L on the modal
+    route, plus three n x n rotations per step (noise in, states and
+    controls out), one product per chunk each.
+
+    The noise comes from one generator in time order, so chunked draws
+    give the same stream as per-step ones; the modal route rotates each
+    chunk, w V.  Noise, outputs and the overflow guard go in chunks of
+    about `_CHUNK_STEPS` steps.  A chunk's states, with L rows of
+    history, live in one chunk-sized buffer in the route's coordinates
+    and are copied (rotated) into the node-coordinate trajectory before
+    the guard, so on both routes the run stops at the first state x
+    above `OVERFLOW_GUARD` or not finite, and stores that state.  The
+    controller output is one FIR filter over the chunk's states (scalar
+    taps per mode on the modal route, rotated back), applied by
+    overlap-save (`_overlap_save`).  Its rounding error is about eps
+    times the largest state of the surrounding FFT segment, not of
+    u[t]'s own window: u and z match the tap sum to that, so in the
     chunk where a run diverges the early entries are accurate only
-    relative to the run's peak (up to `OVERFLOW_GUARD`).
+    relative to the run's peak (up to `OVERFLOW_GUARD`).  Trajectories
+    that do not fit in memory raise :class:`DomainError` with numpy's
+    size and shape.
     """
     if steps < 1:
         raise DomainError("steps must be positive")
@@ -306,38 +327,73 @@ def simulate_closed_loop(
         raise DomainError(
             f"controller consumes {K.n_inputs} measurements, plant has {plant.n_meas}"
         )
+    if K.n_outputs != plant.n_ctrl:
+        raise DomainError(
+            f"controller drives {K.n_outputs} inputs, plant has {plant.n_ctrl}"
+        )
     if not np.array_equal(ms.c2, plant.C2):
         raise DomainError("measurement structure does not match the plant's C2")
+    try:
+        return _simulate(plant, K, steps, seed)
+    except MemoryError as exc:
+        raise DomainError(
+            f"{str(exc) or 'out of memory'}; lower steps (now {steps})"
+        ) from exc
+
+
+def _simulate(plant: Plant, K: FirSystem, steps: int, seed: int) -> TrajectoryRecord:
+    """`simulate_closed_loop` on inputs it has checked."""
     rng = np.random.default_rng(seed)
     n, q = plant.n_states, plant.n_dist
     L = K.horizon + 1
-    B = max(1, min(L, _LIFT_DOUBLES // (L * n * (n + q))))
     F = K.taps @ plant.C2  # F[k] = K_k C2, so u[t] = sum_k F[k] x[t-k]
-    P, gamma = _lift(plant, F, B)
-    B = P.shape[0] // n
+    V = _modes(plant, F)
+    if V is None:
+        # one mode of n states: M (1, L, n, n), B1 (1, n, q)
+        M = plant.B2 @ F
+        M[0] += plant.A
+        M, b1, f = M[np.newaxis], plant.B1[np.newaxis], F
+    else:
+        # n modes of one state: M (n, L, 1, 1), B1 (n, 1, 1), f[k, i] of mode i
+        a, b1, b2 = (np.diag(V.T @ X @ V) for X in (plant.A, plant.B1, plant.B2))
+        f = np.diagonal(V.T @ F @ V, axis1=1, axis2=2)
+        M = b2 * f
+        M[0] += a
+        M, b1 = M.T[:, :, None, None], b1[:, None, None]
+    modes, s, qs = M.shape[0], M.shape[2], b1.shape[2]
+    B = max(1, min(L, _LIFT_DOUBLES // (L * modes * s * (s + qs))))
+    P, gamma = _lift(M, b1, B)
+    B = P.shape[1] // s
     blocks = -(-steps // B)
-    # X[L - 1 + t] = x[t], after L - 1 rows of zero history; block j maps
-    # the window x[jB - T .. jB] (flat[jBn : (jB + L)n]) to new[j], the
-    # states x[jB + 1 .. jB + B]
+    # X[L - 1 + t] = x[t], after L - 1 rows of zero history
     X = np.zeros((L + blocks * B, n))
-    flat = X.reshape(-1)
-    new = X[L:].reshape(blocks, B * n)
     u = np.zeros((steps, plant.n_ctrl))
     z = np.zeros((steps, plant.n_perf))
     per_chunk = max(1, _CHUNK_STEPS // B)
+    # buf[:, r] holds X[t0 + r] of the chunk from step t0 in the route's
+    # coordinates, rows its (L + per_chunk B, n) view; block j maps the
+    # window buf[:, jB .. jB + T] (flat[:, jBs : (jB + L)s]) to the B
+    # states after it
+    buf = np.zeros((modes, L + per_chunk * B, s))
+    flat = buf.reshape(modes, -1)
+    rows = buf[0] if V is None else buf[:, :, 0].T
     w = np.empty((per_chunk * B, q))
     diverged = False
     t_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, blocks, per_chunk):
-            j1 = min(j0 + per_chunk, blocks)
-            t0, t1 = j0 * B, min(j1 * B, steps)
-            wc = w[: (j1 - j0) * B]
+            nb = min(per_chunk, blocks - j0)
+            t0, t1 = j0 * B, min((j0 + nb) * B, steps)
+            wc = w[: nb * B]
             rng.standard_normal(out=wc[: t1 - t0])
             wc[t1 - t0 :] = 0.0
-            np.matmul(wc.reshape(j1 - j0, B * q), gamma.T, out=new[j0:j1])
-            for j in range(j0, j1):
-                new[j] += P @ flat[j * B * n : (j * B + L) * n]
+            wm = wc.reshape(1, nb, B * q) if V is None else (V.T @ wc.T).reshape(n, nb, B)
+            new = flat[:, L * s : (L + nb * B) * s].reshape(modes, nb, B * s)
+            np.matmul(wm, gamma.transpose(0, 2, 1), out=new)
+            for j in range(nb):
+                new[:, j] += (P @ flat[:, j * B * s : (j * B + L) * s, None])[..., 0]
+            xm = rows[L : L + nb * B]
+            X[L + t0 : L + t0 + nb * B] = xm if V is None else xm @ V.T
             xc = X[L + t0 : L + t1]
             # whole-chunk bounds first; a NaN fails them too
             if not (xc.max() <= OVERFLOW_GUARD and xc.min() >= -OVERFLOW_GUARD):
@@ -345,13 +401,14 @@ def simulate_closed_loop(
                 if not ok.all():
                     diverged = True
                     t1 = t0 + int(np.argmin(ok)) + 1
-            hist = X[t0 : L - 1 + t1]  # x[t0 - T .. t1 - 1]
-            u[t0:t1] = _overlap_save(F, hist)
+            uc = _overlap_save(f, rows[: L - 1 + t1 - t0])  # from x[t0 - T .. t1 - 1]
+            u[t0:t1] = uc if V is None else uc @ V.T
             np.matmul(X[L - 1 + t0 : L - 1 + t1], plant.C1.T, out=z[t0:t1])
             z[t0:t1] += u[t0:t1] @ plant.D12.T
             t_done = t1
             if diverged:
                 break
+            buf[:, :L] = buf[:, nb * B : nb * B + L]
     return TrajectoryRecord(
         x=X[L - 1 : L + t_done],
         u=u[:t_done],
@@ -361,17 +418,68 @@ def simulate_closed_loop(
     )
 
 
+def _modes(plant: Plant, F: np.ndarray) -> np.ndarray | None:
+    """An orthogonal V with V' X V diagonal for X = A, B1, B2 and every
+    F_k, or None when the plant is not node-shaped (n inputs of each
+    kind) or no such V is found.
+
+    V is refined one matrix at a time, in that order, from one cluster
+    spanning R^n.  A matrix whose projection on a cluster is not a
+    multiple of the identity rotates the cluster to the eigenvectors of
+    that projection, and eigenvalues more than eps / `_MODE_TOL` of the
+    matrix's norm apart split it (a split at a smaller gap would mix the
+    eigenvectors by more than the tolerance).  What no matrix splits is
+    a shared eigenspace, in any basis.  V is accepted when, in each of
+    the groups A, B1, B2 and (F_0, ..., F_T), the off-diagonal part that
+    V' X V drops is at most `_MODE_TOL` of the group's largest entry:
+    measured against the largest tap, late taps that are pure roundoff
+    do not refuse the loop.
+    """
+    n = plant.n_states
+    if plant.n_ctrl != n or plant.n_dist != n or not np.isfinite(F).all():
+        return None
+    groups = (plant.A[np.newaxis], plant.B1[np.newaxis], plant.B2[np.newaxis], F)
+    mats = np.concatenate(groups)
+    gaps = np.finfo(float).eps / _MODE_TOL * np.linalg.norm(mats, axis=(1, 2))
+    clusters, todo = [], [(np.eye(n), 0)]
+    while todo:
+        Vc, k = todo.pop()
+        d = Vc.shape[1]
+        S = Vc.T @ mats[k:] @ Vc
+        S -= np.trace(S, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        # below gap / 2d off the identity, no two eigenvalues are a gap apart
+        live = np.flatnonzero(2 * d * np.abs(S).max(axis=(1, 2)) > gaps[k:])
+        if not live.size:
+            clusters.append(Vc)
+            continue
+        k += live[0]
+        lam, W = np.linalg.eigh(S[live[0]] + S[live[0]].T)
+        cuts = np.flatnonzero(np.diff(lam) > 2 * gaps[k]) + 1
+        todo += [(part, k + 1) for part in np.split(Vc @ W, cuts, axis=1)]
+    V = np.hstack(clusters)
+    off = ~np.eye(n, dtype=bool)
+    for group in groups:
+        dropped = np.abs((V.T @ group @ V)[:, off]).max()
+        if not dropped <= _MODE_TOL * np.abs(group).max():  # NaN refuses too
+            return None
+    return V
+
+
 def _overlap_save(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y[s] = sum_k F[k] x[s + L - 1 - k] for the len(x) - L + 1 windows
-    of L = len(F) consecutive rows of x, oldest first.
+    of L = len(F) consecutive rows of x, oldest first.  F holds matrix
+    taps, shape (L, m, n), or one scalar tap per channel, shape (L, n),
+    which acts on each column of x alone.
 
     Overlap-save: the FFT size N is the power of two at or above 4L, each
     segment of N inputs yields N - L + 1 outputs, and all segments go
-    through one batched rfft, one matmul per frequency and one irfft, at
-    O(n m + (n + m) log N) per output for F of shape (L, m, n).  The
-    spectrum of F holds N / 2 + 1 complex taps, 4 to 8 times F's bytes.
+    through one batched rfft, one product per frequency (a matmul, or an
+    elementwise product for scalar taps) and one irfft, at
+    O(n m + (n + m) log N) per output for matrix taps.  The spectrum of F
+    holds N / 2 + 1 complex taps, 4 to 8 times F's bytes.
     """
-    L, m, n = F.shape
+    L, m = F.shape[:2]
+    n = x.shape[1]
     steps = x.shape[0] - L + 1
     if steps <= 0:
         return np.zeros((0, m))
@@ -382,36 +490,39 @@ def _overlap_save(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     padded[: len(x)] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, N, axis=0)[::hop]
     spec = np.fft.rfft(windows, axis=2).transpose(2, 1, 0)  # (N/2 + 1, n, segs)
-    out = np.fft.irfft(np.fft.rfft(F, N, axis=0) @ spec, N, axis=0)  # (N, m, segs)
+    Fs = np.fft.rfft(F, N, axis=0)
+    prod = Fs @ spec if F.ndim == 3 else Fs[:, :, None] * spec  # (N/2 + 1, m, segs)
+    out = np.fft.irfft(prod, N, axis=0)
     return out[L - 1 :].transpose(2, 0, 1).reshape(segs * hop, m)[:steps]
 
 
-def _lift(plant: Plant, F: np.ndarray, B: int) -> tuple:
-    """P (Bn x Ln) and Gamma (Bn x Bq) of the lifted loop: the states
-    x[t+1 .. t+B] in terms of the window x[t-T .. t] and the noise
-    w[t .. t+B-1], all oldest first, for B <= L.  Found by running the
-    recursion B steps on the identity.  The block ends before the first
-    step whose rows overflow: past it a zero state times an infinite
-    entry would read as divergence."""
-    L, n, q = F.shape[0], plant.n_states, plant.n_dist
-    M = plant.B2 @ F
-    M[0] += plant.A
+def _lift(M: np.ndarray, B1: np.ndarray, B: int) -> tuple:
+    """P (modes x Bs x Ls) and Gamma (modes x Bs x Bq) of the lifted loop
+    of each mode, for taps M (modes x L x s x s) and noise input B1
+    (modes x s x q): the mode's states x[t+1 .. t+B] in terms of its
+    window x[t-T .. t] and its noise w[t .. t+B-1], all oldest first,
+    for B <= L.  Found by running the recursion B steps on the identity,
+    all modes at once.  The block ends before the first step whose rows
+    overflow in any mode: past it a zero state times an infinite entry
+    would read as divergence."""
+    modes, L, s, _ = M.shape
+    q = B1.shape[2]
     # [M_T ... M_0]: multiplies L consecutive states, oldest first
-    m_row = M[::-1].transpose(1, 0, 2).reshape(n, L * n)
-    ln, cols = L * n, L * n + B * q
-    out = np.zeros((B, n, cols))
+    m_row = M[:, ::-1].transpose(0, 2, 1, 3).reshape(modes, s, L * s)
+    ls, cols = L * s, L * s + B * q
+    out = np.zeros((modes, B, s, cols))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(B):
             # x[t+1+i] reads window states i..T (identity columns) and the
             # i states computed before it
-            out[i, :, i * n : ln] = m_row[:, : ln - i * n]
-            out[i] += m_row[:, ln - i * n :] @ out[:i].reshape(i * n, cols)
-            out[i, :, ln + i * q : ln + (i + 1) * q] += plant.B1
-            if i and not np.isfinite(out[i]).all():
+            out[:, i, :, i * s : ls] = m_row[:, :, : ls - i * s]
+            out[:, i] += m_row[:, :, ls - i * s :] @ out[:, :i].reshape(modes, i * s, cols)
+            out[:, i, :, ls + i * q : ls + (i + 1) * q] += B1
+            if i and not np.isfinite(out[:, i]).all():
                 B = i
                 break
-    out = out[:B].reshape(B * n, cols)
-    return out[:, :ln], out[:, ln : ln + B * q]
+    out = out[:, :B].reshape(modes, B * s, cols)
+    return out[..., :ls], out[..., ls : ls + B * q]
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,19 @@ def test_oversized_horizon_is_a_typed_error(tmp_path, capsys, n, horizon_q):
     assert_one_error_line(capsys, "Unable to allocate", "lower horizon_q")
 
 
+def test_oversized_simulation_is_a_typed_error(tmp_path, capsys):
+    # 1e12 steps of ring 4 need 29 TiB of states: numpy's MemoryError
+    # would end in a traceback
+    from conftest import address_space
+
+    bundle = tmp_path / "r.bundle"
+    bundle.write_text("ring = 4\ngamma = 0.4\nhorizon_q = 8\n")
+    with address_space(512 << 20):
+        code = main(["simulate", str(bundle), "--steps", "1000000000000", "--seed", "1"])
+    assert code == 1
+    assert_one_error_line(capsys, "Unable to allocate", "lower steps (now 1000000000000)")
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -30,6 +30,17 @@ def test_matches_the_direct_sum(rng, horizon):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("horizon", [0, 48])
+def test_scalar_taps_act_on_each_channel(rng, horizon):
+    # taps of shape (L, n) are the diagonal matrix taps of shape (L, n, n)
+    f = rng.normal(size=(horizon + 1, 6))
+    x = rng.normal(size=(horizon + 700, 6))
+    got = _overlap_save(f, x)
+    want = direct_sum(f[:, :, None] * np.eye(6), x)
+    assert got.shape == want.shape == (700, 6)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_chunk_not_a_whole_number_of_segments(rng):
     # 49 taps: FFT size 256, 208 outputs per segment; 500 = 2 * 208 + 84
     F = rng.normal(size=(49, 3, 4))
