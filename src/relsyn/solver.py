@@ -311,13 +311,17 @@ def _automorphisms(prob: SynthesisProblem) -> tuple:
     and the level has work only if a later node shares node k's label.
     At level k, for each candidate c of k outside its orbit under the
     generators found so far (all of which fix 0..k-1), the search places
-    k on c, branches on the first node with several candidates until
-    each has one, and keeps that map if it is a permutation that keeps
-    every entry colour.  So it finds one symmetry per coset it needs, at
-    most n - 1 per level, and never enumerates the group.  When the
-    search spends `_SYMMETRY_BUDGET` node images it stops and keeps the
-    generators it has: they span a subgroup, which still gives a correct
-    column map.
+    k on c and first reads one map off the narrowed matrix: each node
+    that may stay fixed stays, each other takes its first candidate that
+    no node keeps.  It keeps that map if it is a permutation that keeps
+    every entry colour (one comparison of the colour matrix).  Only
+    otherwise does it branch on the first node with several candidates,
+    placing it and reading again.  On a complete graph the map read off
+    is the transposition of k and c, so each level costs one image.  So
+    the search finds one symmetry per coset it needs, at most n - 1 per
+    level, and never enumerates the group.  When the search spends
+    `_SYMMETRY_BUDGET` node images it stops and keeps the generators it
+    has: they span a subgroup, which still gives a correct column map.
     """
     X = _symmetry_blocks(prob)
     if X is None:
@@ -338,11 +342,11 @@ def _automorphisms(prob: SynthesisProblem) -> tuple:
     while len(label) < n and label[-1].max() < n - 1:
         k = len(label) - 1
         label.append(_row_classes(np.column_stack([label[k], C[:, k], C[k]])))
-    spent = 0
+    spent, nodes = 0, np.arange(n)
 
     def attempt(cand, t, w):
-        # a symmetry within cand that sends t to w, or None (also when
-        # the budget runs out); cand is left as it was
+        # a symmetry that keeps cand's placements and sends t to w, or
+        # None (also when the budget runs out); cand is left as it was
         nonlocal spent
         spent += 1
         keep = (C[:, w] == C[:, t, None]) & (C[w] == C[t, :, None])
@@ -352,17 +356,21 @@ def _automorphisms(prob: SynthesisProblem) -> tuple:
         cand.flat[cleared] = False
         count = cand.sum(axis=1)
         g = None
-        if count.max() == 1 and cand.any(axis=0).all():  # a permutation
-            g = cand.argmax(axis=1)
-            g = g if np.array_equal(C[g][:, g], C) else None
-        elif count.min() > 0 and count.max() > 1:
-            u = np.argmax(count > 1)
-            for v in np.flatnonzero(cand[u]):
-                if spent >= _SYMMETRY_BUDGET:
-                    break
-                g = attempt(cand, u, v)
-                if g is not None:
-                    break
+        if count.min() > 0:
+            # one map read off cand: each node that may stay stays, each
+            # other takes its first candidate that stays nowhere
+            fixed = cand[nodes, nodes]
+            g = np.where(fixed, nodes, np.argmax(cand & ~fixed, axis=1))
+            perm = np.bincount(g, minlength=n).max() == 1
+            g = g if perm and np.array_equal(C[g][:, g], C) else None
+            if g is None and count.max() > 1:
+                u = np.argmax(count > 1)
+                for v in np.flatnonzero(cand[u]):
+                    if spent >= _SYMMETRY_BUDGET:
+                        break
+                    g = attempt(cand, u, v)
+                    if g is not None:
+                        break
         cand.flat[cleared] = True
         return g
 

@@ -71,32 +71,62 @@ def ring_delay_structure(n: int) -> InfoStructure:
 def delay_structure_from_adjacency(adjacency) -> InfoStructure:
     """Delay structure with entry (i, j) = graph distance on `adjacency`.
 
-    One breadth-first search per source over neighbour lists built once,
-    so O(n E) for n vertices and E edges (O(n^2) to read the matrix);
-    unreachable pairs stay at inf.
+    Every nonzero entry is an edge.  Distances come from Seidel's
+    recursion (JCSS 51(3), 1995) on the squared graphs of
+    :func:`_squarings`, from the last one down.  In the last, every
+    component is a clique, so its distances are 0 on the diagonal and 1
+    on its edges.  The distances T of G_{l+1} give those of G_l as
+    D = 2 T - [T G_l < T deg], deg the column sums of G_l: (i, j) is at
+    odd distance in G_l exactly when the mean of T[i, k] over the
+    neighbours k of j falls below T[i, j].  Entries across components
+    are 0 in every T and end at inf.  That is ceil(log2 d) + 1 levels
+    for the largest distance d within a component, each one or two
+    n x n matrix products: O(n^omega log d) in all (omega <= 3 for the
+    BLAS product), with no loop over vertices.  Every count in them is
+    an integer of at most n (n - 1), so the products are exact in
+    :func:`_count_dtype`.
     """
     A = np.atleast_2d(np.asarray(adjacency, dtype=float))
     n = A.shape[0]
     if A.shape != (n, n) or np.any(A != A.T) or np.any(np.diag(A) != 0):
         raise DomainError("adjacency must be symmetric with zero diagonal")
-    nbrs = [np.flatnonzero(row).tolist() for row in A]
-    dist = np.empty((n, n))
-    for s in range(n):
-        row = [INF] * n
-        row[s] = 0.0
-        frontier = [s]
-        d = 0.0
-        while frontier:
-            d += 1.0
-            nxt = []
-            for v in frontier:
-                for w in nbrs[v]:
-                    if row[w] == INF:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        dist[s] = row
-    return InfoStructure(dist)
+    levels = _squarings(A)
+    T = levels[-1].copy()
+    for G in reversed(levels[:-1]):
+        odd = T @ G < T * G.sum(axis=0)
+        T += T
+        T -= odd
+    same = levels[-1] != 0
+    np.fill_diagonal(same, True)
+    return InfoStructure(np.where(same, T.astype(float), INF))
+
+
+def _count_dtype(n: int):
+    """float32 while every integer up to n (n - 1) is exact in it
+    (below 2^24, so n <= 4096), float64 above.  A correctness bound:
+    sums of nonnegative integers below it are exact in any order."""
+    return np.float32 if n * (n - 1) < 1 << 24 else np.float64
+
+
+def _squarings(A: np.ndarray) -> list:
+    """Graphs G_0, G_1, ... as 0/1 matrices in :func:`_count_dtype`:
+    G_0 has the edges of the nonzero entries of A, and G_{l+1} joins
+    the pairs at most two hops apart in G_l, from one product G_l G_l.
+    The list ends at the first G_l in which every component is a
+    clique, where squaring adds no edge; it holds ceil(log2 d) + 1
+    matrices of n^2 entries each."""
+    G = (A != 0).astype(_count_dtype(A.shape[0]))
+    levels, edges = [G], np.count_nonzero(G)
+    while True:
+        nxt = G @ G
+        nxt += G
+        np.minimum(nxt, 1, out=nxt)
+        np.fill_diagonal(nxt, 0)
+        count = np.count_nonzero(nxt)
+        if count == edges:
+            return levels
+        levels.append(nxt)
+        G, edges = nxt, count
 
 
 def membership(Q: FirSystem, s: InfoStructure) -> bool:

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from relsyn import DomainError, FirSystem, InfoStructure, RelsynError, ring_plant
+from relsyn import (
+    DomainError,
+    FirSystem,
+    InfoStructure,
+    Plant,
+    RelsynError,
+    delay_structure_from_adjacency,
+    ring_plant,
+)
 from relsyn import fileio
 
 #: The five readers, each called with a path only.
@@ -262,6 +271,95 @@ class TestFuzz:
                 reader(fuzz_path)
             except RelsynError:
                 pass
+
+
+#: Every float a file may hold, -0.0, subnormals and the extremes
+#: included; infinities only where the format allows them.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = st.floats(allow_nan=False)
+SIZES = st.integers(0, 4)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="class")
+def roundtrip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "value.txt"
+
+
+class TestWriteThenRead:
+    """What a writer writes, its reader reads back bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(M=arrays(np.float64, st.tuples(SIZES, SIZES), elements=NUMBERS))
+    def test_matrix(self, roundtrip_path, M):
+        fileio.write_matrix(roundtrip_path, M)
+        assert same_bits(fileio.read_matrix(roundtrip_path), M)
+
+    def test_matrix_nan_stays_nan(self, roundtrip_path):
+        # the format writes every NaN as "nan": its sign and payload are
+        # not kept, its place is
+        M = np.array([[np.nan, 1.0], [-np.nan, -0.0]])
+        fileio.write_matrix(roundtrip_path, M)
+        back = fileio.read_matrix(roundtrip_path)
+        assert np.array_equal(np.isnan(back), np.isnan(M))
+        assert same_bits(back[~np.isnan(M)], M[~np.isnan(M)])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        taps=arrays(
+            np.float64, st.tuples(st.integers(1, 4), SIZES, SIZES), elements=FINITE
+        )
+    )
+    def test_fir(self, roundtrip_path, taps):
+        f = FirSystem(taps)
+        fileio.write_fir(roundtrip_path, f)
+        assert same_bits(fileio.read_fir(roundtrip_path).taps, f.taps)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_plant(self, roundtrip_path, data):
+        n, d, l, q, s = (data.draw(SIZES) for _ in range(5))
+        shapes = {"A": (n, n), "B1": (n, d), "B2": (n, l), "C1": (q, n), "D12": (q, l)}
+        shapes["C2"] = (s, n)
+        blocks = {
+            name: data.draw(arrays(np.float64, shape, elements=FINITE))
+            for name, shape in shapes.items()
+        }
+        plant = Plant(**blocks)
+        fileio.write_plant(roundtrip_path, plant)
+        read = fileio.read_plant(roundtrip_path)
+        back = fileio.plant_from_blocks(read)
+        assert sorted(read) == sorted(shapes)
+        for name in shapes:
+            assert same_bits(getattr(back, name), getattr(plant, name))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        delays=arrays(
+            np.float64,
+            st.tuples(SIZES, SIZES),
+            elements=st.one_of(
+                st.integers(0, 2**53).map(float),
+                st.sampled_from([np.inf, 1e300, float(2**63), float(2**64 + 2**12)]),
+            ),
+        )
+    )
+    def test_structure(self, roundtrip_path, delays):
+        s = InfoStructure(delays)
+        fileio.write_structure(roundtrip_path, s)
+        assert same_bits(fileio.read_structure(roundtrip_path).min_delay, s.min_delay)
+
+    def test_structure_of_a_disconnected_graph(self, roundtrip_path):
+        A = np.zeros((5, 5))
+        A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = A[3, 4] = A[4, 3] = 1.0
+        s = delay_structure_from_adjacency(A)
+        assert np.isinf(s.min_delay).sum() == 12
+        fileio.write_structure(roundtrip_path, s)
+        assert same_bits(fileio.read_structure(roundtrip_path).min_delay, s.min_delay)
 
 
 class TestWriters:

@@ -27,8 +27,9 @@ from relsyn.bench import local_sensor_structure, triangular_plant
 
 
 def distances_loop(adjacency):
-    """Breadth-first distances with one `flatnonzero` per visited vertex:
-    the element-wise form the kernel replaced, kept as its oracle."""
+    """Breadth-first distances from every source, one `flatnonzero` per
+    visited vertex: the per-source search that Seidel's recursion
+    replaced, kept as its oracle."""
     A = np.asarray(adjacency, dtype=float)
     n = A.shape[0]
     dist = np.full((n, n), np.inf)
@@ -109,6 +110,27 @@ def tree_with_chords(rng, n, chords):
     return A
 
 
+@st.composite
+def random_graphs(draw):
+    """Symmetric adjacency matrices on 1 to 40 vertices: random graphs of
+    any density (empty and complete ones included) or trees with chords,
+    split into up to four components (isolated vertices among them), with
+    unit or weighted entries of either sign."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()) and n > 1:
+        chords = draw(st.integers(0, min(3, (n - 1) * (n - 2) // 2)))
+        edges = tree_with_chords(rng, n, chords) != 0
+    else:
+        density = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, 1.0]))
+        edges = rng.random((n, n)) < density
+    part = rng.integers(0, draw(st.integers(1, 4)), n)
+    upper = np.triu(edges & (part[:, None] == part), 1)
+    if draw(st.booleans()):
+        upper = upper * rng.choice([-1.5, 0.25, 2.0, 7.0], size=(n, n))
+    return (upper + upper.T).astype(float)
+
+
 def path_adjacency(n):
     A = np.zeros((n, n))
     idx = np.arange(n - 1)
@@ -179,18 +201,49 @@ class TestAdjacencyKernel:
         A = 2.5 * path_adjacency(5)
         assert np.array_equal(delay_structure_from_adjacency(A).min_delay, distances_loop(A))
 
-    def test_one_flatnonzero_per_vertex(self, rng, monkeypatch):
-        # neighbour lists are built once: n calls, not one per visit
-        calls = []
-        real = np.flatnonzero
+    def test_recursion_depth_path_300(self):
+        # diameter 299: ceil(log2 299) + 1 squared graphs, the last with
+        # every pair joined
+        levels = structure._squarings(path_adjacency(300))
+        assert len(levels) == 10
+        assert np.count_nonzero(levels[-1]) == 300 * 299
 
-        def spy(a):
-            calls.append(1)
-            return real(a)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 33])
+    def test_recursion_depth_paths(self, n):
+        depth = 1 if n < 3 else int(np.ceil(np.log2(n - 1))) + 1
+        assert len(structure._squarings(path_adjacency(n))) == depth
 
-        monkeypatch.setattr(np, "flatnonzero", spy)
-        delay_structure_from_adjacency(tree_with_chords(rng, 50, 20))
-        assert len(calls) <= 50
+    def test_count_dtype_switches_at_2_24(self):
+        # every count is an integer of at most n (n - 1): float32 holds
+        # them all exactly up to n = 4096, and not above
+        assert 4096 * 4095 < 2**24 < 4097 * 4096
+        assert structure._count_dtype(4096) is np.float32
+        assert structure._count_dtype(4097) is np.float64
+        assert structure._count_dtype(1) is np.float32
+        # the largest float32 count, as a product of partial sums
+        total = np.full((1, 4095), 4096, np.float32) @ np.ones((4095, 1), np.float32)
+        assert total[0, 0] == 4096 * 4095
+        # past 2^24 float32 skips odd integers, so a count there may round
+        assert np.float32(2**24) + np.float32(1) == np.float32(2**24)
+
+    def test_float64_products_agree(self, rng, monkeypatch):
+        A = tree_with_chords(rng, 60, 10)
+        A[7] = A[:, 7] = 0.0
+        expected = delay_structure_from_adjacency(A).min_delay
+        monkeypatch.setattr(structure, "_count_dtype", lambda n: np.float64)
+        assert np.array_equal(delay_structure_from_adjacency(A).min_delay, expected)
+
+    def test_empty_and_single_vertex(self):
+        assert delay_structure_from_adjacency(np.zeros((0, 0))).min_delay.shape == (0, 0)
+        assert delay_structure_from_adjacency([[0.0]]).min_delay.tolist() == [[0.0]]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_search_on_random_graphs(self, data):
+        A = data.draw(random_graphs())
+        got = delay_structure_from_adjacency(A).min_delay
+        assert np.array_equal(got, distances_loop(A))
+        assert not np.signbit(got).any()
 
 
 class TestPatternKernel:

@@ -79,11 +79,28 @@ def group_order(generators, n):
 def brute_force_order(prob):
     """Number of node permutations g with X[g][:, g] = X for every matrix
     of the problem: the oracle for the search."""
-    X = _symmetry_blocks(prob)
+    return blocks_order(_symmetry_blocks(prob))
+
+
+def blocks_order(X):
+    """Number of node permutations g with X[g][:, g] = X for every
+    matrix X of the stack."""
     n = X.shape[1]
     perms = np.array(list(itertools.permutations(range(n))))
     moved = X[:, perms[:, :, None], perms[:, None, :]]
     return int((moved == X[:, None]).all(axis=(0, 2, 3)).sum())
+
+
+def assert_search_on_blocks(X, monkeypatch):
+    """The search on stubbed blocks X returns permutations that fix X and
+    span every permutation that does."""
+    monkeypatch.setattr(solver, "_symmetry_blocks", lambda prob: X)
+    gens = _automorphisms(None)
+    n = X.shape[1]
+    for g in gens:
+        assert sorted(g.tolist()) == list(range(n))
+        assert np.array_equal(X[:, g][:, :, g], X)
+    assert group_order(gens, n) == blocks_order(X)
 
 
 def chain_order(generators, n):
@@ -192,6 +209,46 @@ class TestAutomorphisms:
         assert len(gens) <= n - 1
         assert chain_order(gens, n) == math.factorial(n)
         assert _entry_orbits(gens, n).max() + 1 == 2
+
+    def test_random_blocks_against_brute_force(self, rng, monkeypatch):
+        # 0/1 blocks with few colours, on which the map read off a level
+        # is often no symmetry
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            X = rng.integers(0, 2, size=(int(rng.integers(1, 3)), n, n)).astype(float)
+            if rng.random() < 0.5:
+                X = np.maximum(X, X.transpose(0, 2, 1))
+            assert_search_on_blocks(X, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # nodes 3 and 4 are twins: the map read off the first level
+            # sends both to node 0 and passes the colour comparison alone
+            ["01011", "10111", "01011", "11100", "11100"],
+            # the map read off a level is a permutation, but it moves an
+            # entry colour
+            ["011011", "111011", "110101", "001011", "110100", "111101"],
+        ],
+    )
+    def test_maps_read_off_a_level_are_checked(self, rows, monkeypatch):
+        X = np.array([[[float(c) for c in row] for row in rows]])
+        assert_search_on_blocks(X, monkeypatch)
+
+    @pytest.mark.parametrize("n", [120, 200])
+    def test_large_complete_graphs_one_image_per_level(self, n, monkeypatch):
+        # the map read off each level (fixed points first) is the
+        # transposition of k and c, so no level branches and a budget of
+        # n - 1 images finds the whole group
+        X = np.stack([np.eye(n), np.ones((n, n)) - np.eye(n)])
+        monkeypatch.setattr(solver, "_symmetry_blocks", lambda prob: X)
+        monkeypatch.setattr(solver, "_SYMMETRY_BUDGET", n - 1)
+        gens = _automorphisms(None)
+        assert len(gens) == n - 1
+        assert np.unique(solver._orbits(gens, n)).size == 1
+        assert _entry_orbits(gens, n).max() + 1 == 2
+        for g in gens:
+            assert np.array_equal(X[:, g][:, :, g], X)
 
     def test_search_memory_is_quadratic(self, monkeypatch):
         # the ring's distance, Laplacian and deviation blocks at n = 300:
