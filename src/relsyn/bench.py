@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DecompositionError, DomainError, RelsynError
 from .fileio import write_texts
-from .lti import FirSystem, Plant, StateSpace, fir_compose
+from .lti import FirSystem, Plant, StateSpace, _shared_eigenbasis, fir_compose
 from .measurement import (
     MeasurementStructure,
     recover_controller,
@@ -49,10 +49,6 @@ _CHUNK_STEPS = 4096
 #: Entries of the simulation's lift [P Gamma] (32 MB) above which blocks
 #: get shorter than the controller's T + 1 taps.
 _LIFT_DOUBLES = 1 << 22
-
-#: Off-diagonal part, relative to the largest entry of its group, that a
-#: basis may drop to run the simulated loop as scalar modes (`_modes`).
-_MODE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -419,50 +415,11 @@ def _simulate(plant: Plant, K: FirSystem, steps: int, seed: int) -> TrajectoryRe
 
 
 def _modes(plant: Plant, F: np.ndarray) -> np.ndarray | None:
-    """An orthogonal V with V' X V diagonal for X = A, B1, B2 and every
-    F_k, or None when the plant is not node-shaped (n inputs of each
-    kind) or no such V is found.
-
-    V is refined one matrix at a time, in that order, from one cluster
-    spanning R^n.  A matrix whose projection on a cluster is not a
-    multiple of the identity rotates the cluster to the eigenvectors of
-    that projection, and eigenvalues more than eps / `_MODE_TOL` of the
-    matrix's norm apart split it (a split at a smaller gap would mix the
-    eigenvectors by more than the tolerance).  What no matrix splits is
-    a shared eigenspace, in any basis.  V is accepted when, in each of
-    the groups A, B1, B2 and (F_0, ..., F_T), the off-diagonal part that
-    V' X V drops is at most `_MODE_TOL` of the group's largest entry:
-    measured against the largest tap, late taps that are pure roundoff
-    do not refuse the loop.
-    """
-    n = plant.n_states
-    if plant.n_ctrl != n or plant.n_dist != n or not np.isfinite(F).all():
+    """:func:`~relsyn.lti._shared_eigenbasis` of the groups A, B1, B2 and
+    (F_0, ..., F_T); None unless the plant has n inputs of each kind."""
+    if not plant.n_ctrl == plant.n_dist == plant.n_states:
         return None
-    groups = (plant.A[np.newaxis], plant.B1[np.newaxis], plant.B2[np.newaxis], F)
-    mats = np.concatenate(groups)
-    gaps = np.finfo(float).eps / _MODE_TOL * np.linalg.norm(mats, axis=(1, 2))
-    clusters, todo = [], [(np.eye(n), 0)]
-    while todo:
-        Vc, k = todo.pop()
-        d = Vc.shape[1]
-        S = Vc.T @ mats[k:] @ Vc
-        S -= np.trace(S, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
-        # below gap / 2d off the identity, no two eigenvalues are a gap apart
-        live = np.flatnonzero(2 * d * np.abs(S).max(axis=(1, 2)) > gaps[k:])
-        if not live.size:
-            clusters.append(Vc)
-            continue
-        k += live[0]
-        lam, W = np.linalg.eigh(S[live[0]] + S[live[0]].T)
-        cuts = np.flatnonzero(np.diff(lam) > 2 * gaps[k]) + 1
-        todo += [(part, k + 1) for part in np.split(Vc @ W, cuts, axis=1)]
-    V = np.hstack(clusters)
-    off = ~np.eye(n, dtype=bool)
-    for group in groups:
-        dropped = np.abs((V.T @ group @ V)[:, off]).max()
-        if not dropped <= _MODE_TOL * np.abs(group).max():  # NaN refuses too
-            return None
-    return V
+    return _shared_eigenbasis(plant.A[np.newaxis], plant.B1[np.newaxis], plant.B2[np.newaxis], F)
 
 
 def _overlap_save(F: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -689,10 +646,13 @@ def verify_synthesis(prob: SynthesisProblem, res: SynthesisResult) -> dict:
     K C2 = R, and membership of the recovered controller in its induced
     structure.
 
-    K comes from (C2 N, Q~) and R from (N, Q) by the tap recursion, two
-    independent routes, on K's window; max|K C2 - R| is held to
-    KC2_MATCH_TOL relative to 1 + max|R|, since the taps of K grow with
-    R's."""
+    The solve recovered K as R Z, Z the recovery map, from the taps of
+    :func:`recovered_r_fir` that R is taken from here, so K C2 = R is not
+    a second route to R: it tests that Z C2 is the identity on R, which
+    holds when R is relative, and that snapping K's roundoff to its
+    structural zeros moved no tap far.  max|K C2 - R| on K's window is
+    held to KC2_MATCH_TOL relative to 1 + max|R|, since the taps of K
+    grow with R's."""
     ms = prob.ms
     kc2 = fir_compose(res.k_opt, FirSystem(ms.c2[np.newaxis]))
     R = recovered_r_fir(prob.yd, res.q_opt, res.k_opt.horizon)

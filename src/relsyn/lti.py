@@ -547,3 +547,53 @@ def h2_norm_lyap(sys: StateSpace) -> float:
 def h2_norm_fir(f: FirSystem) -> float:
     """Square root of the total impulse-response energy."""
     return float(np.sqrt(np.sum(f.taps**2)))
+
+
+#: Off-diagonal part, relative to the largest entry of its group, that
+#: :func:`_shared_eigenbasis` may drop; the solver's floor on V' dirs V.
+_MODAL_TOL = 1e-12
+
+
+def _shared_eigenbasis(*groups: np.ndarray) -> Matrix | None:
+    """An orthogonal V with V' X V diagonal for every X of `groups`
+    (stacks of n x n matrices), or None when none is found.
+
+    Each round turns every cluster of V's columns (at first R^n) to the
+    eigenvectors of the symmetric part of the next matrix that is not a
+    multiple of the identity on it, split at every gap that `eigh`
+    resolves, n eps of that matrix's norm (a close pair left for a later
+    matrix would be rotated by its rounding).  V is returned after the
+    first round in which, in each group, V' X V drops at most `_MODAL_TOL`
+    of the group's largest entry off the diagonal, so late filter taps
+    that are pure roundoff do not refuse it.
+    """
+    mats = np.concatenate(groups)
+    if not np.isfinite(mats).all():
+        return None
+    m, n = mats.shape[:2]
+    gaps = n * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))
+    first = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    top = np.maximum.reduceat(np.abs(mats).max(axis=(1, 2)), first)
+    clusters = [(np.eye(n), 0)]  # (columns, first matrix still to refine them)
+    while any(k < m for _, k in clusters):
+        refined = []
+        for Vc, k in clusters:
+            H = Vc.T @ mats[k:] @ Vc
+            H += H.transpose(0, 2, 1)
+            H -= np.trace(H, axis1=1, axis2=2)[:, None, None] * np.eye(Vc.shape[1]) / Vc.shape[1]
+            # a traceless symmetric H's eigenvalues span at most sqrt(2) |H|_F, all of it if 2 x 2
+            live = np.flatnonzero(np.linalg.norm(H, axis=(1, 2)) > np.sqrt(2) * gaps[k:])
+            if live.size:
+                k += live[0]
+                lam, W = np.linalg.eigh(H[live[0]])
+                cuts = np.flatnonzero(np.diff(lam) > 2 * gaps[k]) + 1
+                refined += [(part, k + 1) for part in np.split(Vc @ W, cuts, axis=1)]
+            else:
+                refined.append((Vc, m))
+        clusters = refined
+        V = np.hstack([Vc for Vc, _ in clusters])
+        Y = np.abs(V.T @ mats @ V)
+        Y[:, np.arange(n), np.arange(n)] = 0.0
+        if np.all(np.maximum.reduceat(Y.max(axis=(1, 2)), first) <= _MODAL_TOL * top):
+            return V
+    return None

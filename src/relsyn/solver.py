@@ -14,9 +14,9 @@ direction.  `solve` searches for the group on every problem; on the
 ring it finds the dihedral group (shift and reflection), which leaves
 the floor(n/2) symmetric circulant directions.  A'A, A'b and ||b||^2 are
 lags of the joint system [direction responses | vec T1], exact over the
-infinite horizon.  When the plant is diagonal in the eigenbasis V of a
-symmetric static nominal (consensus plants on any graph, the ring among
-them), they come factored, from batched 3-state Stein solves over the
+infinite horizon.  When the plant and a static nominal are diagonal in
+one eigenbasis V (consensus plants on any graph, the ring among them),
+they come factored, from batched 3-state Stein solves over the
 mode pairs (p, q) that some direction V' dirs V or the target touches.
 If the directions then map one to one onto those mode pairs (distinct
 Laplacian eigenvalues, as on paths and random graphs), G is never
@@ -40,10 +40,12 @@ import scipy.linalg
 
 from .errors import DimensionError, DomainError, StructureViolationError
 from .lti import (
+    _MODAL_TOL,
     STABILITY_TOL,
     FirSystem,
     Plant,
     StateSpace,
+    _shared_eigenbasis,
     markov,
     series,
 )
@@ -66,11 +68,6 @@ DEFAULT_Q_HORIZON = 32
 
 #: Entries of K this small below its structural bound are snapped to zero.
 _SNAP_TOL = 1e-9
-
-#: Tolerance of the eigenbasis route (:func:`_modal_lags`): relative in its
-#: gate, and absolute on V' dirs V, whose directions have nonzero entries
-#: of magnitude between 1/n and n.
-_MODAL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def _taps_from(first, horizon: int) -> tuple:
 
 def _symmetry_blocks(prob: SynthesisProblem):
     """The n x n matrices that a node symmetry of `prob` must fix, stacked,
-    or None outside the shape gate of :func:`_modal_lags`.
+    or None outside the shape gate :func:`_node_shaped`.
 
     They are A, B1, B2, the static nominal gain, the structure's
     min_delay, the same-component relation (a permutation that keeps it
@@ -599,10 +596,10 @@ def _solve_columns(prob: SynthesisProblem, dirs, inputs, delays) -> SynthesisRes
     Column a moves Q along the l x n direction dirs[inputs[a]], delayed
     by delays[a] taps.  Each (delay, input) pair names at most one
     column, so Q's taps are the coefficients of each tap times the
-    stacked directions.  When the plant and a symmetric static nominal
-    share one eigenbasis (consensus plants on any graph), the lags come
-    in the factored form (M, h) of :func:`_modal_factors`: batched
-    3-state Stein solves, K the largest column delay.
+    stacked directions.  When the plant and a static nominal share one
+    eigenbasis (consensus plants on any graph), the lags come in the
+    factored form (M, h) of :func:`_modal_factors`: batched 3-state
+    Stein solves, K the largest column delay.
 
     If the directions also map one to one onto the mode pairs they touch,
     :func:`_split_solve` solves the Gram system without forming G: the
@@ -759,17 +756,6 @@ def _stein_lags(yd: YoulaData, dirs, K: int) -> np.ndarray:
     return _lags(basis, target, K)
 
 
-def _modal_lags(yd: YoulaData, dirs, K: int):
-    """The table of :func:`_stein_lags` from the eigenbasis of the
-    nominal, or None when the plant is not diagonal in it.
-
-    The factors come from :func:`_modal_factors` and the table from
-    :func:`_modal_table`.
-    """
-    factors = _modal_factors(yd, dirs, K)
-    return None if factors is None else _modal_table(*factors)
-
-
 def _modal_table(M: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The lag table L(d) = [M 0; 0 1]' h(d) [M 0; 0 1] of the factors
     (M, h), the 2 x 2 mode-pair lags h_r(d) summed over mode pairs r."""
@@ -784,14 +770,15 @@ def _modal_table(M: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _modal_factors(yd: YoulaData, dirs, K: int):
-    """(M, h): the lag table of :func:`_modal_lags` in factored form, or
-    None when the plant is not diagonal in the nominal's eigenbasis.
+    """(M, h): the lag table of :func:`_stein_lags` in factored form
+    (:func:`_modal_table`), or None when no eigenbasis is shared.
 
-    With a symmetric static nominal D and V = eigh(D), suppose V'XV is
-    diagonal for A + B2 D, B1, B2, each n-row block of C1 + D12 D and of
-    D12, and the disagreement projector.  Then T1, T2 and T3p act on
-    mode p as scalar filters tau1_p, tau2_p and tau3_p (one per output
-    block for T1 and T2).  The response of direction X is the sum over
+    With a static nominal D, let V be the shared eigenbasis
+    (:func:`~relsyn.lti._shared_eigenbasis`) of A + B2 D, B1, B2, the
+    disagreement projector and each n-row block of C1 + D12 D and of D12,
+    each matrix its own group.  Then T1, T2 and T3p act on mode p as
+    scalar filters tau1_p, tau2_p and tau3_p (one per output block for
+    T1 and T2).  The response of direction X is the sum over
     mode pairs (p, q) of (V'XV)_pq tau2_p tau3_q along an output direction
     that is orthogonal to those of the other mode pairs, and vec T1 is
     the sum over p of tau1_p along the direction of (p, p).  So with
@@ -805,12 +792,11 @@ def _modal_factors(yd: YoulaData, dirs, K: int):
     state in any of the three maps; it then gets pole 0.  h has shape
     (K + 1, pairs, 2, 2), index 0 the basis input and 1 the target.
     """
+    if not _node_shaped(yd):
+        return None
     plant = yd.plant
     n = plant.n_states
     D = yd.r_nom.D
-    if not _node_shaped(yd) or np.abs(D - D.T).max() > _MODAL_TOL * np.linalg.norm(D):
-        return None
-    V = np.linalg.eigh(D)[1]
     P = yd.disagreement_basis @ yd.disagreement_basis.T
     X = np.concatenate(
         [
@@ -819,11 +805,10 @@ def _modal_factors(yd: YoulaData, dirs, K: int):
             plant.D12.reshape(-1, n, n),
         ]
     )
-    Y = V.T @ X @ V
-    diag = np.diagonal(Y, axis1=1, axis2=2)
-    off = np.abs(Y - diag[:, :, None] * np.eye(n)).max(axis=(1, 2))
-    if np.any(off > _MODAL_TOL * np.linalg.norm(X, axis=(1, 2))):
+    V = _shared_eigenbasis(*X[:, np.newaxis])
+    if V is None:
         return None
+    diag = np.diagonal(V.T @ X @ V, axis1=1, axis2=2)
     a, b1, b2, pi = diag[:4]
     c, e = np.split(diag[4:], 2)  # (blocks, n): C1 + D12 D and D12
     cb1, cb2, pb1 = c * b1, c * b2, pi * b1

@@ -68,6 +68,16 @@ def ring_delay_structure(n: int) -> InfoStructure:
     return InfoStructure(np.minimum(diff, n - diff).astype(float))
 
 
+def as_adjacency(adjacency) -> np.ndarray:
+    """`adjacency` as a float n x n array; :class:`DomainError` unless it
+    is symmetric with zero diagonal."""
+    A = np.atleast_2d(np.asarray(adjacency, dtype=float))
+    n = A.shape[0]
+    if A.shape != (n, n) or np.any(A != A.T) or np.any(np.diag(A) != 0):
+        raise DomainError("adjacency must be symmetric with zero diagonal")
+    return A
+
+
 def delay_structure_from_adjacency(adjacency) -> InfoStructure:
     """Delay structure with entry (i, j) = graph distance on `adjacency`.
 
@@ -86,11 +96,7 @@ def delay_structure_from_adjacency(adjacency) -> InfoStructure:
     an integer of at most n (n - 1), so the products are exact in
     :func:`_count_dtype`.
     """
-    A = np.atleast_2d(np.asarray(adjacency, dtype=float))
-    n = A.shape[0]
-    if A.shape != (n, n) or np.any(A != A.T) or np.any(np.diag(A) != 0):
-        raise DomainError("adjacency must be symmetric with zero diagonal")
-    levels = _squarings(A)
+    levels = _squarings(as_adjacency(adjacency))
     T = levels[-1].copy()
     for G in reversed(levels[:-1]):
         odd = T @ G < T * G.sum(axis=0)

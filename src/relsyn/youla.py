@@ -38,6 +38,7 @@ from .lti import (
     parallel,
 )
 from .measurement import MeasurementStructure, relative_taps
+from .structure import as_adjacency
 
 
 def build_tilde_plant(p: Plant) -> Plant:
@@ -53,12 +54,9 @@ def laplacian_rnom(adjacency) -> StateSpace:
     L is the degree matrix minus the adjacency; the row sums of the result
     vanish, so the gain is a relative map on any component.
     """
-    A = np.atleast_2d(np.asarray(adjacency, dtype=float))
-    n = A.shape[0]
-    if A.shape != (n, n) or np.any(A != A.T) or np.any(np.diag(A) != 0):
-        raise DomainError("adjacency must be symmetric with zero diagonal")
+    A = as_adjacency(adjacency)
     L = np.diag(A.sum(axis=1)) - A
-    return StateSpace.static_gain(-L / n)
+    return StateSpace.static_gain(-L / len(A))
 
 
 @dataclass(frozen=True)

@@ -126,14 +126,14 @@ def test_general_path_matches_dense_qr(rng, gamma):
 def test_symmetric_stein_route_matches_unreduced_and_dense_qr():
     # reflection-symmetric but unequal actuator gains on the path: outside
     # the eigenbasis gate, yet the reflection still fixes the problem
-    from relsyn.solver import _automorphisms, _modal_lags, _solve_columns
+    from relsyn.solver import _automorphisms, _modal_factors, _solve_columns
 
     C2 = np.zeros((5, 6))
     for i in range(5):
         C2[i, i], C2[i, i + 1] = 1.0, -1.0
     prob = consensus_problem(C2, 0.3, 8, b2=np.array([0.6, 0.9, 1.2, 1.2, 0.9, 0.6]))
     free = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
-    assert _modal_lags(prob.yd, free[0], 1) is None
+    assert _modal_factors(prob.yd, free[0], 1) is None
     assert [g.tolist() for g in _automorphisms(prob)] == [[5, 4, 3, 2, 1, 0]]
     res = solve(prob)
     assert res.objective == pytest.approx(_solve_columns(prob, *free).objective, rel=1e-12)
@@ -228,13 +228,14 @@ def test_gram_assembly_matches_reference(monkeypatch, rng, case):
 def test_split_route_matches_reference(rng):
     # the split route's lifted G x and c against the entry-by-entry Gram
     # of the lag table of the same column map
-    from relsyn.solver import _modal_factors, _modal_lags, _split_solve
+    from relsyn.solver import _modal_factors, _modal_table, _split_solve
 
     prob = consensus_problem(rand_connected_c2(rng, 5, extra_edges=2), 0.2, 8)
     dirs, inputs, delays = _free_columns(prob.structure, prob.ms.indicators, prob.horizon_q)
     K = int(delays.max())
-    x, Gx, c, b_sq = _split_solve(*_modal_factors(prob.yd, dirs, K), inputs, delays)
-    L = _modal_lags(prob.yd, dirs, K)
+    factors = _modal_factors(prob.yd, dirs, K)
+    x, Gx, c, b_sq = _split_solve(*factors, inputs, delays)
+    L = _modal_table(*factors)
     G_ref, c_ref = reference_gram(L, inputs, delays)
     assert np.abs(Gx - G_ref @ x).max() <= 1e-13 * (np.abs(G_ref) @ np.abs(x)).max()
     assert np.abs(c - c_ref).max() <= 1e-13 * np.abs(c_ref).max()

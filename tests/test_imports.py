@@ -20,8 +20,14 @@ HEAVY = (
     "matplotlib",
 )
 
-#: Private helpers that every module shares on purpose.
-SHARED = {("lti", "_as_matrix"), ("lti", "_freeze")}
+#: Private helpers that several modules share on purpose: the simulator
+#: and the solver's eigenbasis route share one eigenbasis gate.
+SHARED = {
+    ("lti", "_as_matrix"),
+    ("lti", "_freeze"),
+    ("lti", "_shared_eigenbasis"),
+    ("lti", "_MODAL_TOL"),
+}
 
 
 def private_crossings(source: str, name: str) -> list:

@@ -4,8 +4,8 @@ For a consensus plant the solve builds the table of [direction responses
 | vec T1] from three-state mode pairs instead of one Stein solve on the
 O(n^2)-state joint system, over the general column map and over the
 ring's circulant one.  Wherever its gate accepts, the table must be the
-one `_stein_lags` computes; where the plant is not diagonal in the
-nominal's eigenbasis, the gate must decline.
+one `_stein_lags` computes; where the plant is not diagonal in one
+eigenbasis, the gate must decline.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from relsyn import (
     solve_ring_circulant,
     validate_c2,
 )
-from relsyn.solver import _free_columns, _modal_lags, _stein_lags
+from relsyn.solver import _free_columns, _modal_factors, _modal_table, _stein_lags
 
 from conftest import actuator_gains, consensus_plant, consensus_problem, rand_connected_c2
 
@@ -47,6 +47,7 @@ def _named_graphs():
         "grid2x3": edge_c2(6, grid),
         "star6": edge_c2(6, [(0, j) for j in range(1, 6)]),
         "complete5": edge_c2(5, complete),
+        "random7": rand_connected_c2(np.random.default_rng(0), 7, 3),
     }
 
 
@@ -55,17 +56,19 @@ def _tables(yd, structure, ms, horizon_q=HORIZON_Q):
 
 
 def _map_tables(yd, dirs, inputs, delays):
+    """The modal factors (None off the eigenbasis) and the Stein table."""
     K = int(delays.max(initial=0))
-    return _modal_lags(yd, dirs, K), _stein_lags(yd, dirs, K)
+    return _modal_factors(yd, dirs, K), _stein_lags(yd, dirs, K)
 
 
-def _assert_same_table(modal, stein):
-    assert modal is not None
+def _assert_same_table(factors, stein):
+    assert factors is not None
+    modal = _modal_table(*factors)
     assert modal.shape == stein.shape
     assert np.abs(modal - stein).max() <= 1e-12 * np.abs(stein).max()
 
 
-@pytest.mark.parametrize("graph", ["path6", "grid2x3", "star6", "complete5"])
+@pytest.mark.parametrize("graph", ["path6", "grid2x3", "star6", "complete5", "random7"])
 @pytest.mark.parametrize("gamma", [0.2, 0.7])
 def test_named_graphs_match_stein(graph, gamma):
     # the star and K5 have repeated Laplacian eigenvalues, so eigh's basis
@@ -106,22 +109,35 @@ def test_empty_column_maps_give_the_nominal():
         (ring.yd, circulant_reduce(ring)),
     ):
         assert len(colmap[0]) == 0
-        modal, stein = _map_tables(yd, *colmap)
-        _assert_same_table(modal, stein)
+        factors, stein = _map_tables(yd, *colmap)
+        _assert_same_table(factors, stein)
         assert stein.shape == (1, 1, 1)
         assert stein[0, 0, 0] == pytest.approx(h2_norm_lyap(yd.t1_stable) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("n", [2, 3, 12, 32, 64, 96])
 def test_ring_never_takes_the_stein_route(monkeypatch, n):
-    # a silent fallback would put the ring on an O(n^2)-state Stein solve
+    # a silent fallback would put the ring on an O(n^2)-state Stein solve;
+    # each symmetric circulant direction pairs every mode with itself
+    # only, so the factors hold n mode pairs, also at n = 96, where the
+    # nominal's two eigenvalues nearest -4/n are 4.5e-5 apart
     import relsyn.solver as solver
 
     def no_stein(*args):
         raise AssertionError("the ring fell back to _stein_lags")
 
+    pairs = []
+    modal_factors = solver._modal_factors
+
+    def spy(*args):
+        M, h = modal_factors(*args)
+        pairs.append(len(M))
+        return M, h
+
     monkeypatch.setattr(solver, "_stein_lags", no_stein)
+    monkeypatch.setattr(solver, "_modal_factors", spy)
     solve_ring_circulant(n, 0.4, 32)
+    assert pairs == [n]
 
 
 def _consensus_data(C2, rnom, plant=None):
@@ -133,8 +149,8 @@ def _consensus_data(C2, rnom, plant=None):
 
 def test_distinct_actuator_gains_take_the_stein_route(rng):
     prob = consensus_problem(rand_connected_c2(rng, 5, 2), 0.3, HORIZON_Q, b2=actuator_gains(5))
-    modal, _ = _tables(prob.yd, prob.structure, prob.ms)
-    assert modal is None
+    factors, _ = _tables(prob.yd, prob.structure, prob.ms)
+    assert factors is None
 
 
 def test_dynamic_nominal_takes_the_stein_route():
@@ -143,8 +159,8 @@ def test_dynamic_nominal_takes_the_stein_route():
     # the Laplacian gain behind a decoupled stable state: same map,
     # dynamic realization
     rnom = StateSpace(np.array([[0.5]]), np.zeros((1, 6)), np.zeros((6, 1)), L)
-    modal, _ = _tables(*_consensus_data(C2, rnom))
-    assert modal is None
+    factors, _ = _tables(*_consensus_data(C2, rnom))
+    assert factors is None
 
 
 def test_non_symmetric_nominal_takes_the_stein_route():
@@ -152,8 +168,8 @@ def test_non_symmetric_nominal_takes_the_stein_route():
     D = np.array(laplacian_rnom(validate_c2(C2).adjacency).D)
     D[0, 1] += 0.05  # row sums stay zero, so the gain stays relative
     D[0, 0] -= 0.05
-    modal, _ = _tables(*_consensus_data(C2, StateSpace.static_gain(D)))
-    assert modal is None
+    factors, _ = _tables(*_consensus_data(C2, StateSpace.static_gain(D)))
+    assert factors is None
 
 
 def _two_components(per_component_deviation):
@@ -178,12 +194,12 @@ def _two_components(per_component_deviation):
     return _consensus_data(C2, laplacian_rnom(ms.adjacency), plant)
 
 
-def test_global_deviation_on_two_components_takes_the_stein_route():
+def test_global_deviation_on_two_components_matches_stein():
     # the two agreement modes share eigenvalue 0 of the nominal, and the
-    # global average couples them: no basis of that eigenspace makes
-    # the deviation diagonal unless it holds the all-ones vector
-    modal, _ = _tables(*_two_components(per_component_deviation=False))
-    assert modal is None
+    # global average couples them: only a basis of that eigenspace that
+    # holds the all-ones vector makes the deviation diagonal, and the
+    # shared eigenbasis splits the eigenspace along the deviation
+    _assert_same_table(*_tables(*_two_components(per_component_deviation=False)))
 
 
 def test_per_component_deviation_on_two_components_matches_stein():

@@ -4,7 +4,7 @@ When the directions of a consensus problem map one to one onto the mode
 pairs they touch, `_split_solve` eliminates the taps at which every
 direction is live, one Toeplitz Schur complement per mode pair, and
 factors only the head Gram.  The oracle is the dense Gram system of the
-same column map, `_solve_gram(*_gram_system(_modal_lags(...)))`; the
+same column map, `_solve_gram(*_gram_system(_modal_table(*_modal_factors(...))))`; the
 problems the split must decline (repeated Laplacian eigenvalues, the
 Stein route, a horizon below the largest delay) are pinned by spying on
 the dense assembly.
@@ -20,7 +20,8 @@ from relsyn import solver
 from relsyn.solver import (
     _automorphisms,
     _gram_system,
-    _modal_lags,
+    _modal_factors,
+    _modal_table,
     _orbit_columns,
     _solve_gram,
 )
@@ -32,7 +33,7 @@ from test_symmetry import grid_c2, path_c2
 def dense_reference(prob):
     """(J, Q, G, x) of the dense Gram system on the column map `solve` uses."""
     dirs, inputs, delays = _orbit_columns(prob, _automorphisms(prob))
-    L = _modal_lags(prob.yd, dirs, int(delays.max(initial=0)))
+    L = _modal_table(*_modal_factors(prob.yd, dirs, int(delays.max(initial=0))))
     G, c = _gram_system(L, inputs, delays)
     x, _ = _solve_gram(G, c)
     J = math.sqrt(max(L[0, -1, -1] - 2.0 * (c @ x) + x @ G @ x, 0.0))
